@@ -6,7 +6,9 @@ coupling K, the Coriolis/centrifugal vector h, the distributed load vector
 f_Q and the actuation load, then solves one small dense system for the modal
 acceleration and advances with semi-implicit Euler (velocity first).  All
 nested double integrals run as one forward plus one backward cumulative pass
-over the quadrature grid, so a step costs O(n m) plus an m x m solve.
+over the quadrature grid; the Assembly folds them, with the cross-section
+area between them, into one n x n operator, so the state-dependent part of a
+step is one product with an n x (2m + 2) block plus an m x m solve.
 
 Two assembly fidelities are provided:
 
@@ -24,8 +26,11 @@ which keeps the default dt stable without changing the update order.
 
 Displacement-input runs under the consistent fidelity enforce the cable
 constraint through the multiplier computed from the constrained dynamics
-(KKT solve with Baumgarte stabilization); the closed-form multiplier
-expressions are still evaluated every step and recorded as diagnostics.
+(KKT solve with Baumgarte stabilization).  The closed-form multiplier
+expressions (``lambda_pre``/``lambda_post``) are diagnostics there: ``step``
+does not evaluate them, and ``simulate`` evaluates them only at recorded
+samples.  Under the literal fidelity the substituted closed form is the
+applied displacement-mode load, so that step evaluates it.
 """
 
 from __future__ import annotations
@@ -45,6 +50,14 @@ from .records import SimulationRecord
 FIDELITIES = ("literal", "consistent")
 DAMPING_MODELS = ("drag", "pointwise", "none")
 NC_ANGLE_LIMIT = 1e3  # rad; beyond this a run is marked non-converged
+
+
+def divergence_reason(angles) -> str:
+    """Why angles failed the non-convergence check: non-finite or past the limit."""
+    if not np.all(np.isfinite(angles)):
+        return "non-finite state"
+    return (f"angle limit exceeded: |theta| = {np.max(np.abs(angles)):.3g} rad "
+            f"> {NC_ANGLE_LIMIT:g} rad")
 
 
 @dataclass
@@ -127,6 +140,7 @@ class Assembly:
     b_literal: np.ndarray    # (m,) W(0) * int Phi
     b_consistent: np.ndarray  # (m,) W(L) Phi(L) - int W_s Phi
     w_cable: np.ndarray      # (m,) d(delta_l)/dc = (1/2) int W Phi_s
+    core: np.ndarray         # (n, n) bwd diag(A) fwd: int_s^L A(xi) int_0^xi . dxi
 
 
 def assemble_mass(model: RobotModel, basis: ModalBasis, grid: QuadratureGrid) -> np.ndarray:
@@ -176,6 +190,7 @@ def make_assembly(model: RobotModel, basis: ModalBasis, grid: QuadratureGrid,
         b_literal=model.eval_W(0.0) * int_phi,
         b_consistent=wl * phi_l - phi.T @ (wq * ws_n),
         w_cable=0.5 * (wq * w_n) @ dphi,
+        core=grid.bwd @ (a_n[:, None] * grid.fwd),
     )
 
 
@@ -186,24 +201,31 @@ def assemble_state_fields(theta, theta_t, asm: Assembly):
         K = int [sin(theta) Xi_sin + cos(theta) Xi_cos] ds,
         Xi_trig(s) = [int_s^L A(xi) int_0^xi Phi trig(theta) ] Phi^T(s),
     h is the theta_t^2 (Coriolis/centrifugal) projection, and the drag
-    damping matrix shares the inner prefix integrals of K.
+    damping matrix shares the inner prefix integrals of K.  All four nested
+    integrals are columns of one product of ``asm.core`` with the stacked
+    block [Phi sin | Phi cos | theta_t^2 cos | theta_t^2 sin].
     """
     grid = asm.grid
     wq = grid.weights
+    n, m = asm.phi.shape
     sn = np.sin(theta)
     cs = np.cos(theta)
-    ps = grid.fwd @ (asm.phi * sn[:, None])          # int_0^s phi_i sin(theta)
-    pc = grid.fwd @ (asm.phi * cs[:, None])
-    rs = grid.bwd @ (asm.a_nodes[:, None] * ps)      # int_s^L A * (inner)
-    rc = grid.bwd @ (asm.a_nodes[:, None] * pc)
-    coupling = rs.T @ (asm.phi * (wq * sn)[:, None]) + rc.T @ (asm.phi * (wq * cs)[:, None])
     tt2 = np.asarray(theta_t) ** 2
-    j_s = grid.bwd @ (asm.a_nodes * (grid.fwd @ (tt2 * cs)))
-    j_c = grid.bwd @ (asm.a_nodes * (grid.fwd @ (tt2 * sn)))
+    x = np.empty((n, 2 * m + 2))
+    np.multiply(asm.phi, sn[:, None], out=x[:, :m])
+    np.multiply(asm.phi, cs[:, None], out=x[:, m:2 * m])
+    np.multiply(tt2, cs, out=x[:, 2 * m])
+    np.multiply(tt2, sn, out=x[:, 2 * m + 1])
+    nested = asm.core @ x                             # int_s^L A int_0^xi (column)
+    rs, rc = nested[:, :m], nested[:, m:2 * m]
+    j_s, j_c = nested[:, 2 * m], nested[:, 2 * m + 1]
+    coupling = rs.T @ (asm.phi * (wq * sn)[:, None]) + rc.T @ (asm.phi * (wq * cs)[:, None])
     coriolis = asm.phi.T @ (wq * (sn * j_s - cs * j_c))
     f_q = asm.phi.T @ (wq * (asm.qy_nodes * cs - asm.qx_nodes * sn))
     if asm.damping_model == "drag":
         c_damp = asm.model.material.damping_coeff
+        prefix = grid.fwd @ x[:, :2 * m]              # int_0^s Phi [sin | cos]
+        ps, pc = prefix[:, :m], prefix[:, m:]
         damping = c_damp * (ps.T @ (wq[:, None] * ps) + pc.T @ (wq[:, None] * pc))
     else:
         damping = asm.damping0
@@ -232,14 +254,14 @@ def assemble_fQ(c, asm: Assembly) -> np.ndarray:
 # -- boundary actuation coefficient ----------------------------------------
 
 
-def lambda_boundary(theta_s_L: float, model: RobotModel) -> float:
+def lambda_boundary(theta_s_L: float, asm: Assembly) -> float:
     """Multiplier from the tip moment balance alone: 2 E I(L) theta_s(L) / W(L)."""
-    e_mod = model.material.youngs_modulus
-    return 2.0 * e_mod * model.eval_I(model.length) * theta_s_L / model.eval_W(model.length)
+    e_mod = asm.model.material.youngs_modulus
+    return 2.0 * e_mod * asm.il * theta_s_L / asm.wl
 
 
 def lambda_substituted(theta_L: float, theta_s_L: float, int_ws_theta: float,
-                       delta_l: float, model: RobotModel, eps: float) -> float:
+                       delta_l: float, asm: Assembly, eps: float) -> float:
     """Closed-form multiplier with the constraint substituted in.
 
     lambda = 2 E I(L) theta_s(L) theta(L) / (2 delta_l + int W_s theta ds),
@@ -250,12 +272,19 @@ def lambda_substituted(theta_L: float, theta_s_L: float, int_ws_theta: float,
         return 0.0
     den = 2.0 * delta_l + int_ws_theta
     if abs(den) < eps:
-        return lambda_boundary(theta_s_L, model)
-    e_mod = model.material.youngs_modulus
-    lam = 2.0 * e_mod * model.eval_I(model.length) * theta_s_L * theta_L / den
+        return lambda_boundary(theta_s_L, asm)
+    e_mod = asm.model.material.youngs_modulus
+    lam = 2.0 * e_mod * asm.il * theta_s_L * theta_L / den
     if not np.isfinite(lam):
         raise SolverFault(f"non-finite multiplier (denominator {den:.3e})")
     return lam
+
+
+def _substituted_multiplier(c, delta_l: float, asm: Assembly, eps: float) -> float:
+    """lambda_substituted evaluated on the modal coefficients c."""
+    return lambda_substituted(float(asm.phi_L @ c), float(asm.dphi_L @ c),
+                              float(asm.grid.integrate(asm.ws_nodes * (asm.phi @ c))),
+                              delta_l, asm, eps)
 
 
 def gamma(t: float, state: ModalState, asm: Assembly, profile: ActuationProfile,
@@ -264,17 +293,13 @@ def gamma(t: float, state: ModalState, asm: Assembly, profile: ActuationProfile,
 
     Displacement mode evaluates the closed-form multiplier from the current
     state.  The consistent-fidelity solver enforces the cable constraint and
-    applies its own multiplier instead; this closed form is what the record
-    keeps as the ``lambda_post`` diagnostic.
+    applies its own multiplier instead; ``simulate`` records this closed form
+    as the ``lambda_post`` diagnostic.
     """
     if profile.mode == FORCE:
         return -0.5 * profile.value(t)
-    theta_l = float(asm.phi_L @ state.c)
-    theta_s_l = float(asm.dphi_L @ state.c)
-    int_ws = float(asm.grid.integrate(asm.ws_nodes * (asm.phi @ state.c)))
-    lam = lambda_substituted(theta_l, theta_s_l, int_ws, profile.value(t),
-                             asm.model, options.lambda_epsilon)
-    return 0.5 * lam
+    return 0.5 * _substituted_multiplier(state.c, profile.value(t), asm,
+                                         options.lambda_epsilon)
 
 
 def assemble_fl(t: float, state: ModalState, asm: Assembly, profile: ActuationProfile,
@@ -301,17 +326,6 @@ def _advance(state: ModalState, asm: Assembly, profile: ActuationProfile,
         lhs = lhs + dt * dt * asm.stiffness
         rhs = rhs - asm.stiffness @ (state.c + dt * state.c_t)
 
-    theta_l = float(asm.phi_L @ state.c)
-    theta_s_l = float(asm.dphi_L @ state.c)
-    int_ws = float(asm.grid.integrate(asm.ws_nodes * theta))
-    lam_pre = lambda_boundary(theta_s_l, asm.model)
-    if profile.mode == DISPLACEMENT:
-        lam_post = lambda_substituted(theta_l, theta_s_l, int_ws,
-                                      profile.value(t_next), asm.model,
-                                      options.lambda_epsilon)
-    else:
-        lam_post = 0.0
-
     try:
         if profile.mode == DISPLACEMENT and consistent:
             # Constrained dynamics: the cable is a prescribed-displacement
@@ -334,7 +348,8 @@ def _advance(state: ModalState, asm: Assembly, profile: ActuationProfile,
             if profile.mode == FORCE:
                 gam = -0.5 * profile.value(t_next)
             else:
-                gam = 0.5 * lam_post
+                gam = 0.5 * _substituted_multiplier(state.c, profile.value(t_next), asm,
+                                                    options.lambda_epsilon)
             rhs = rhs + gam * (asm.b_literal if options.fidelity == "literal"
                                else asm.b_consistent)
             c_tt = np.linalg.solve(lhs, rhs)
@@ -344,13 +359,13 @@ def _advance(state: ModalState, asm: Assembly, profile: ActuationProfile,
     c_t_new = state.c_t + dt * c_tt
     c_new = state.c + dt * c_t_new
     new_state = ModalState(t=t_next, c=c_new, c_t=c_t_new, c_tt_last=c_tt)
-    return new_state, gam, lam_pre, lam_post
+    return new_state, gam
 
 
 def step(state: ModalState, asm: Assembly, profile: ActuationProfile,
          options: SolverOptions) -> ModalState:
     """One semi-implicit Euler step; raises SolverFault on a non-finite result."""
-    new_state, _, _, _ = _advance(state, asm, profile, options)
+    new_state, _ = _advance(state, asm, profile, options)
     if not np.all(np.isfinite(new_state.c)) or not np.all(np.isfinite(new_state.c_t)):
         raise SolverFault("non-finite modal state")
     return new_state
@@ -387,7 +402,8 @@ def simulate(model: RobotModel, profile: ActuationProfile, options: SolverOption
     phi_shape = basis.eval(s_shape)
     shape_rows = []
 
-    def record(idx, st, gam, lam_pre, lam_post):
+    def record(idx, st, gam, prev=None):
+        """Store st; prev is the state the step to st started from."""
         theta = asm.phi @ st.c
         theta_t = asm.phi @ st.c_t
         theta_s = asm.dphi @ st.c
@@ -403,8 +419,12 @@ def simulate(model: RobotModel, profile: ActuationProfile, options: SolverOption
         sc["theta_s_L"][idx] = float(asm.dphi_L @ st.c)
         sc["delta_l"][idx] = tendon_displacement(theta, theta_l, model, grid)
         sc["gamma"][idx] = gam
-        sc["lambda_pre"][idx] = lam_pre
-        sc["lambda_post"][idx] = lam_post
+        if prev is not None:
+            # diagnostics on the pre-step state, with the command at the step's end
+            sc["lambda_pre"][idx] = lambda_boundary(float(asm.dphi_L @ prev.c), asm)
+            if profile.mode == DISPLACEMENT:
+                sc["lambda_post"][idx] = _substituted_multiplier(
+                    prev.c, profile.value(st.t), asm, options.lambda_epsilon)
         en = compute_energies(theta, theta_t, theta_s, model, grid)
         sc["t_rot"][idx] = en.t_rot
         sc["t_x"][idx] = en.t_x
@@ -417,29 +437,34 @@ def simulate(model: RobotModel, profile: ActuationProfile, options: SolverOption
 
     state = ModalState.rest(m)
     gam0 = gamma(0.0, state, asm, profile, options)
-    record(0, state, gam0, 0.0, 0.0)
+    record(0, state, gam0)
 
     compute_seconds = 0.0
     nc_step = None
+    nc_reason = ""
     sample_idx = 0
     for k in range(1, n_steps + 1):
+        prev = state
         tic = time.perf_counter()
         try:
-            state, gam, lam_pre, lam_post = _advance(state, asm, profile, options)
+            state, gam = _advance(prev, asm, profile, options)
         except SolverFault as fault:
             compute_seconds += time.perf_counter() - tic
             fault.step = k
             nc_step = k
+            nc_reason = str(fault)
             break
         compute_seconds += time.perf_counter() - tic
+        theta_l = asm.phi_L @ state.c
         bad = (not np.all(np.isfinite(state.c))
-               or np.max(np.abs(asm.phi_L @ state.c)) > NC_ANGLE_LIMIT)
+               or np.max(np.abs(theta_l)) > NC_ANGLE_LIMIT)
         if bad:
             nc_step = k
+            nc_reason = divergence_reason(theta_l)
             break
         if k % stride == 0:
             sample_idx += 1
-            record(sample_idx, state, gam, lam_pre, lam_post)
+            record(sample_idx, state, gam, prev)
 
     used = sample_idx + 1
     shape_t = np.array([row[0] for row in shape_rows])
@@ -459,6 +484,6 @@ def simulate(model: RobotModel, profile: ActuationProfile, options: SolverOption
         u_bend=scalars["u_bend"][:used], g_pot=scalars["g_pot"][:used],
         shape_t=shape_t, shape_s=s_shape, shape_theta=shape_theta,
         shape_x=shape_x, shape_y=shape_y,
-        compute_seconds=compute_seconds, nc_step=nc_step,
+        compute_seconds=compute_seconds, nc_step=nc_step, nc_reason=nc_reason,
         command=scalars["command"][:used],
     )

@@ -52,15 +52,32 @@ def write_record_csv(record: SimulationRecord, path: str) -> None:
             fh.write("\n".join(rows) + "\n")
 
 
+def _numeric_rows(lines, header: str, path: str) -> np.ndarray:
+    """Data lines below ``header`` as a (rows, fields) array; ConfigurationError if malformed."""
+    width = header.count(",") + 1
+    rows = []
+    for row, line in enumerate(lines, start=1):
+        cells = line.split(",")
+        if len(cells) != width:
+            raise ConfigurationError(
+                f"{path}: data row {row} has {len(cells)} fields, expected {width}")
+        try:
+            rows.append([float(v) for v in cells])
+        except ValueError as exc:
+            raise ConfigurationError(f"{path}: data row {row}: {exc}") from None
+    return np.array(rows, dtype=float).reshape(-1, width)
+
+
 def read_record_csv(path: str) -> SimulationRecord:
-    """Load a record written by write_record_csv (series and shapes only)."""
+    """Load a record written by write_record_csv (series and shapes only).
+
+    A malformed record or shape file raises ConfigurationError.
+    """
     with open(path, newline="") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or lines[0] != RECORD_HEADER:
         raise ConfigurationError(f"{path} is not a simulation record CSV")
-    data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    if data.size == 0:
-        data = np.zeros((0, 11))
+    data = _numeric_rows(lines[1:], RECORD_HEADER, path)
     n = data.shape[0]
     empty = np.zeros((n, 0))
     zeros = np.zeros(n)
@@ -69,15 +86,18 @@ def read_record_csv(path: str) -> SimulationRecord:
     shape_theta = np.zeros((0, 0))
     shape_x = np.zeros((0, 0))
     shape_y = np.zeros((0, 0))
+    spath = shapes_path(path)
     try:
-        with open(shapes_path(path), newline="") as fh:
+        with open(spath, newline="") as fh:
             slines = [ln.strip() for ln in fh if ln.strip()]
         if slines and slines[0] == SHAPES_HEADER:
-            sdata = np.array([[float(v) for v in ln.split(",")] for ln in slines[1:]])
+            sdata = _numeric_rows(slines[1:], SHAPES_HEADER, spath)
             shape_t, idx = np.unique(sdata[:, 0], return_index=True)
             shape_t = sdata[np.sort(idx), 0]
-            shape_s = sdata[sdata[:, 0] == shape_t[0], 1]
+            shape_s = sdata[sdata[:, 0] == shape_t[0], 1] if shape_t.size else shape_s
             k, p = shape_t.size, shape_s.size
+            if k * p != sdata.shape[0]:
+                raise ConfigurationError(f"{spath}: snapshots have unequal row counts")
             shape_x = sdata[:, 2].reshape(k, p)
             shape_y = sdata[:, 3].reshape(k, p)
             shape_theta = sdata[:, 4].reshape(k, p)

@@ -37,6 +37,7 @@ class SimulationRecord:
     shape_y: np.ndarray
     compute_seconds: float = 0.0
     nc_step: int | None = None
+    nc_reason: str = ""         # why the run stopped early; empty when it converged
     command: np.ndarray = field(default=None)  # commanded input series, if any
 
     @property
@@ -50,6 +51,3 @@ class SimulationRecord:
     @property
     def mechanical(self):
         return self.kinetic + self.u_bend + self.g_pot
-
-    def tip_series(self):
-        return np.column_stack([self.tip_x, self.tip_y])

@@ -30,7 +30,7 @@ import numpy as np
 
 from .actuation import ActuationProfile, DISPLACEMENT, FORCE
 from .errors import ConfigurationError, SolverFault
-from .galerkin import NC_ANGLE_LIMIT, SolverOptions
+from .galerkin import NC_ANGLE_LIMIT, SolverOptions, divergence_reason
 from .geometry import RobotModel
 from .kinematics import compute_energies, cumtrapz, shape_grid
 from .records import SimulationRecord
@@ -267,6 +267,7 @@ def sd_simulate(model: RobotModel, profile: ActuationProfile, options: SolverOpt
 
     compute_seconds = 0.0
     nc_step = None
+    nc_reason = ""
     sample_idx = 0
     for k in range(1, n_steps + 1):
         tic = time.perf_counter()
@@ -288,9 +289,10 @@ def sd_simulate(model: RobotModel, profile: ActuationProfile, options: SolverOpt
                 accel = sol[:, 0] + lam * sol[:, 1]
                 applied = lam
                 gam = 0.5 * lam
-        except np.linalg.LinAlgError:
+        except np.linalg.LinAlgError as exc:
             compute_seconds += time.perf_counter() - tic
             nc_step = k
+            nc_reason = f"singular system matrix: {exc}"
             break
         theta_t[1:] = theta_t[1:] + dt * accel
         theta[1:] = theta[1:] + dt * theta_t[1:]
@@ -298,6 +300,7 @@ def sd_simulate(model: RobotModel, profile: ActuationProfile, options: SolverOpt
         last_accel[1:] = accel
         if not np.all(np.isfinite(theta)) or np.max(np.abs(theta)) > NC_ANGLE_LIMIT:
             nc_step = k
+            nc_reason = divergence_reason(theta)
             break
         if k % stride == 0:
             sample_idx += 1
@@ -348,6 +351,6 @@ def sd_simulate(model: RobotModel, profile: ActuationProfile, options: SolverOpt
         shape_t=t_s[keep], shape_s=s_shape, shape_theta=shape_theta,
         shape_x=cumtrapz(np.cos(shape_theta), s_shape),
         shape_y=cumtrapz(np.sin(shape_theta), s_shape),
-        compute_seconds=compute_seconds, nc_step=nc_step,
+        compute_seconds=compute_seconds, nc_step=nc_step, nc_reason=nc_reason,
         command=np.interp(t_s, t_axis, cmd),
     )

@@ -1,5 +1,7 @@
+import pytest
+
 from cdcrdyn.cli import main
-from cdcrdyn.recordio import read_record_csv
+from cdcrdyn.recordio import RECORD_HEADER, SHAPES_HEADER, read_record_csv
 
 
 def test_run_builtin_scenario(tmp_path, capsys):
@@ -104,3 +106,18 @@ def test_bench_command(tmp_path, capsys, monkeypatch):
     table = capsys.readouterr().out
     assert "Speedup" in table and "case1_step" in table
     assert (tmp_path / "bench" / "benchmark.csv").exists()
+
+
+@pytest.mark.parametrize("record_rows, shape_rows", [
+    (["0,0.4,0,0,0,0,0,0,0,0,1", "0.01,0.4,abc,-0.01,0,-1.5,0,0,0,0,1"], None),
+    (["0,0.4,0"], None),
+    (["0,0.4,0,0,0,0,0,0,0,0,1", "0.01,0.4,-0.001,-0.01,0,-1.5,0,0,0,0,1"],
+     ["0,0,0,0,0", "0,0.4,0.4,0,0", "0.01,0,0,0,0"]),
+], ids=["non_numeric_cell", "short_row", "ragged_shapes"])
+def test_compare_malformed_csv_exit_code(tmp_path, capsys, record_rows, shape_rows):
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join([RECORD_HEADER, *record_rows]) + "\n")
+    if shape_rows is not None:
+        (tmp_path / "bad_shapes.csv").write_text("\n".join([SHAPES_HEADER, *shape_rows]) + "\n")
+    assert main(["compare", str(path), str(path)]) == 2
+    assert "configuration error" in capsys.readouterr().err

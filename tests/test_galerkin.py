@@ -5,7 +5,8 @@ import pytest
 
 import cdcrdyn as cd
 from cdcrdyn.actuation import ActuationProfile
-from cdcrdyn.galerkin import ModalState, _advance, assemble_state_fields
+from cdcrdyn.galerkin import (ModalState, _advance, assemble_state_fields,
+                              lambda_boundary, lambda_substituted)
 
 TWO_PI = 2 * math.pi
 L, E, I, A, W = 0.4, 2e9, 1.26e-11, 1.26e-5, 0.11
@@ -125,6 +126,46 @@ def test_assembly_matches_bruteforce_oracle(case1, raw2, asm_raw2, rng):
         scale = max(np.abs(h_o).max(), 1e-12)
         assert np.abs(h_vec - h_o).max() <= 1e-8 * scale
         assert np.all(np.isfinite(k_mat))
+
+
+def _reference_state_fields(theta, theta_t, asm):
+    # eight separate cumulative passes: the unfused form of assemble_state_fields
+    grid = asm.grid
+    wq = grid.weights
+    sn = np.sin(theta)
+    cs = np.cos(theta)
+    ps = grid.fwd @ (asm.phi * sn[:, None])
+    pc = grid.fwd @ (asm.phi * cs[:, None])
+    rs = grid.bwd @ (asm.a_nodes[:, None] * ps)
+    rc = grid.bwd @ (asm.a_nodes[:, None] * pc)
+    coupling = rs.T @ (asm.phi * (wq * sn)[:, None]) + rc.T @ (asm.phi * (wq * cs)[:, None])
+    tt2 = np.asarray(theta_t) ** 2
+    j_s = grid.bwd @ (asm.a_nodes * (grid.fwd @ (tt2 * cs)))
+    j_c = grid.bwd @ (asm.a_nodes * (grid.fwd @ (tt2 * sn)))
+    coriolis = asm.phi.T @ (wq * (sn * j_s - cs * j_c))
+    f_q = asm.phi.T @ (wq * (asm.qy_nodes * cs - asm.qx_nodes * sn))
+    if asm.damping_model == "drag":
+        c_damp = asm.model.material.damping_coeff
+        damping = c_damp * (ps.T @ (wq[:, None] * ps) + pc.T @ (wq[:, None] * pc))
+    else:
+        damping = asm.damping0
+    return coupling, coriolis, f_q, damping
+
+
+@pytest.mark.parametrize("case_id", ["case1", "case2", "case3", "case4"])
+@pytest.mark.parametrize("m", [1, 6, 10])
+@pytest.mark.parametrize("damping_model", ["drag", "pointwise", "none"])
+def test_fused_state_fields_match_reference(case_id, m, damping_model, rng):
+    model = cd.build_case_model(case_id)
+    asm = cd.make_assembly(model, cd.ModalBasis(m, model.length),
+                           cd.make_quadrature(16, 5, model.length), damping_model)
+    for _ in range(3):
+        theta = asm.phi @ rng.normal(0.0, 1.0, m)
+        theta_t = asm.phi @ rng.normal(0.0, 5.0, m)
+        fused = assemble_state_fields(theta, theta_t, asm)
+        for got, ref in zip(fused, _reference_state_fields(theta, theta_t, asm)):
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_coriolis_zero_at_rest(asm_raw2):
@@ -262,7 +303,7 @@ def test_one_step_from_rest_hand_computed(case1_noload, raw1, grid):
     asm = cd.make_assembly(case1_noload, raw1, grid)
     options = cd.SolverOptions(m=1, basis_kind="raw_monomial", dt=1e-3)
     profile = ActuationProfile.step(3.0)
-    state, gam, _, _ = _advance(ModalState.rest(1), asm, profile, options)
+    state, gam = _advance(ModalState.rest(1), asm, profile, options)
     rho = case1_noload.material.density
     k_h = A * L**3 / 20
     mass_h = rho * I * L / 3
@@ -345,6 +386,42 @@ def test_nc_detection_on_blowup(case1):
     assert record.nc_step is not None
     assert not record.ok
     assert np.all(np.isfinite(record.states))
+
+
+def test_nc_reason_on_blowup(case1):
+    profile = ActuationProfile.step(1e9)
+    record = cd.simulate(case1, profile, cd.SolverOptions(t_end=1.0, fidelity="literal"))
+    assert record.nc_step is not None
+    assert record.nc_reason.startswith("angle limit exceeded")
+    converged = cd.simulate(case1, ActuationProfile.step(3.0), cd.SolverOptions(t_end=0.01))
+    assert converged.ok and converged.nc_reason == ""
+
+
+@pytest.mark.parametrize("fidelity", ["consistent", "literal"])
+def test_diagnostics_at_samples_match_step_loop(case1, fidelity):
+    # lambda_pre/lambda_post are evaluated on the state each recorded step
+    # started from, with the command at the step's end; the states themselves
+    # are those of a plain step() loop
+    options = cd.SolverOptions(t_end=0.03, output_stride=1, fidelity=fidelity)
+    profile = ActuationProfile.linear(0.008, mode=cd.DISPLACEMENT)
+    asm = cd.make_assembly(case1, cd.ModalBasis(options.m, case1.length),
+                           cd.make_quadrature(options.panels, options.points_per_panel,
+                                              case1.length))
+    record = cd.simulate(case1, profile, options, assembly=asm)
+    assert record.ok and record.t.size == 31
+    state = ModalState.rest(options.m)
+    for k in range(1, record.t.size):
+        prev = state
+        state = cd.step(prev, asm, profile, options)
+        assert np.array_equal(state.c, record.states[k])
+        assert np.array_equal(state.c_t, record.rates[k])
+        assert record.lambda_pre[k] == lambda_boundary(float(asm.dphi_L @ prev.c), asm)
+        theta = asm.phi @ prev.c
+        assert record.lambda_post[k] == lambda_substituted(
+            float(asm.phi_L @ prev.c), float(asm.dphi_L @ prev.c),
+            float(asm.grid.integrate(asm.ws_nodes * theta)), profile.value(record.t[k]),
+            asm, options.lambda_epsilon)
+    assert np.any(record.lambda_post[1:] != 0.0)
 
 
 def test_lambda_diagnostics_recorded(case1):

@@ -107,6 +107,7 @@ def test_nc_detection(case1):
     options = cd.SolverOptions(t_end=0.5, sd_nodes=61, sd_dt=1e-3)
     record = cd.sd_simulate(case1, ActuationProfile.step(1e9), options)
     assert not record.ok
+    assert record.nc_reason.startswith("angle limit exceeded")
 
 
 def test_matches_galerkin_on_short_run(case1):
