@@ -1,0 +1,89 @@
+"""Write the behaviour fingerprint: reference trajectories of both solvers.
+
+    PYTHONPATH=src python scripts/make_fingerprint.py [output.npz]
+
+The default output is ``tests/data/fingerprint.npz``; ``tests/test_fingerprint.py``
+reruns the same runs and compares every stored channel within 1e-10 of that
+channel's largest magnitude.  The runs:
+
+* the 15 builtin scenarios on the modal solver at their default settings;
+* the 9 force-input builtins at literal fidelity, stride 1, over 0.3 s, at
+  modal orders 4-10 (the runs the ``sweep_io`` benchmark workload makes);
+* three builtins on the SD solver (N = 51, sd_dt = 2e-4, 0.5 s).
+
+Every record channel is kept at every 10th sample and at the last one; shape
+channels at every 10th shape row and arc-length point, and the last of each.  A change that moves the
+numerics on purpose regenerates the file and reports the measured shift.
+"""
+
+from __future__ import annotations
+
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+
+import cdcrdyn as cd
+
+OUTPUT = Path(__file__).resolve().parent.parent / "tests" / "data" / "fingerprint.npz"
+EVERY = 10
+LITERAL_HORIZON = 0.3
+LITERAL_ORDERS = (4, 6, 8, 10)
+SD_IDS = ("case2_sinusoid", "caseC", "case4_taper")
+SD_OPTIONS = dict(t_end=0.5, sd_nodes=51, sd_dt=2e-4)
+SAMPLE_CHANNELS = ("t", "states", "rates", "accels", "tip_x", "tip_y", "theta_L",
+                   "theta_s_L", "delta_l", "gamma", "lambda_pre", "lambda_post",
+                   "t_rot", "t_x", "t_y", "u_bend", "g_pot", "command")
+SHAPE_CHANNELS = ("shape_theta", "shape_x", "shape_y")
+
+
+def runs():
+    """(name, solver, scenario) for every fingerprinted run."""
+    suite = cd.builtin_suite()
+    out = [(f"modal/{sc.id}", "galerkin", sc) for sc in suite]
+    force = [sc for sc in suite if sc.profile.mode == cd.FORCE]
+    for i, sc in enumerate(force):
+        options = replace(sc.options, fidelity="literal", output_stride=1,
+                          m=LITERAL_ORDERS[i % len(LITERAL_ORDERS)])
+        out.append((f"literal/{sc.id}", "galerkin",
+                    replace(sc, horizon=LITERAL_HORIZON, options=options)))
+    for sc in suite:
+        if sc.id in SD_IDS:
+            out.append((f"sd/{sc.id}", "sd",
+                        replace(sc, horizon=SD_OPTIONS["t_end"],
+                                options=replace(sc.options, **SD_OPTIONS))))
+    return out
+
+
+def _rows(size: int) -> np.ndarray:
+    return np.r_[np.arange(0, size - 1, EVERY), size - 1] if size else np.arange(0)
+
+
+def fingerprint() -> dict:
+    """Channel arrays keyed '<run>/<channel>', plus '<run>/nc_step' (-1: converged)."""
+    out = {}
+    for name, solver, scenario in runs():
+        rec = cd.run_scenario(scenario, solver)
+        rows = _rows(rec.t.size)
+        for ch in SAMPLE_CHANNELS:
+            out[f"{name}/{ch}"] = np.asarray(getattr(rec, ch))[rows]
+        rows = _rows(rec.shape_t.size)
+        out[f"{name}/shape_t"] = rec.shape_t[rows]
+        cols = _rows(rec.shape_s.size)
+        for ch in SHAPE_CHANNELS:
+            out[f"{name}/{ch}"] = np.asarray(getattr(rec, ch))[rows][:, cols]
+        out[f"{name}/nc_step"] = np.array(-1 if rec.nc_step is None else rec.nc_step)
+    return out
+
+
+def main(argv) -> int:
+    path = Path(argv[1]) if len(argv) > 1 else OUTPUT
+    path.parent.mkdir(parents=True, exist_ok=True)
+    np.savez_compressed(path, **fingerprint())
+    print(f"wrote {path} ({path.stat().st_size} bytes)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

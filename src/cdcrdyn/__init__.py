@@ -13,14 +13,13 @@ from .config import (RunConfig, model_from_config, parse_config,
                      solver_options)
 from .errors import ConfigurationError, DomainError, SolverFault
 from .galerkin import (Assembly, ModalState, SolverOptions, assemble_K,
-                       assemble_fQ, assemble_fl, assemble_h, assemble_mass,
-                       assemble_state_fields, gamma, lambda_boundary,
-                       lambda_substituted, make_assembly, simulate, step)
+                       assemble_fQ, assemble_h, assemble_mass,
+                       assemble_state_fields, make_assembly, simulate, step)
 from .geometry import (DistributedLoad, GeometryProfile, MaterialParams,
                        RobotModel, build_case_model, derived_density, GRAVITY)
 from .kinematics import (BackboneShape, EnergyBreakdown, backbone_positions,
-                         compute_energies, shape_grid, tendon_displacement,
-                         theta_field)
+                         compute_energies, lambda_boundary, lambda_substituted,
+                         shape_grid, tendon_displacement, theta_field)
 from .records import SimulationRecord
 from .recordio import (format_benchmark_table, read_record_csv, record_shapes,
                        write_backbone_csv, write_benchmark_csv,
@@ -38,9 +37,8 @@ __all__ = [
     "profile_from_config", "scenario_from_config", "serialize_config",
     "solver_options", "ConfigurationError", "DomainError", "SolverFault",
     "Assembly", "ModalState", "SolverOptions", "assemble_K", "assemble_fQ",
-    "assemble_fl", "assemble_h", "assemble_mass", "assemble_state_fields",
-    "gamma", "lambda_boundary", "lambda_substituted", "make_assembly",
-    "simulate", "step", "DistributedLoad", "GeometryProfile", "MaterialParams",
+    "assemble_h", "assemble_mass", "assemble_state_fields", "lambda_boundary",
+    "lambda_substituted", "make_assembly", "simulate", "step", "DistributedLoad", "GeometryProfile", "MaterialParams",
     "RobotModel", "build_case_model", "derived_density", "GRAVITY",
     "BackboneShape", "EnergyBreakdown", "backbone_positions", "compute_energies",
     "shape_grid", "tendon_displacement", "theta_field", "SimulationRecord",

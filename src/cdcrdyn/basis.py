@@ -149,6 +149,15 @@ class ModalBasis:
         return (q + x[..., None] * dq) / self.length
 
 
+def stacked_product(op, f):
+    """op @ f for one vector f, or for every vector along the last axis of a stack.
+
+    Each product has the bits ``op @ f`` gives for that vector alone, so a
+    stacked pass over recorded samples reproduces a per-sample loop exactly.
+    """
+    return np.matmul(op, np.asarray(f, dtype=float)[..., None])[..., 0][()]
+
+
 @dataclass(frozen=True, eq=False)
 class QuadratureGrid:
     length: float
@@ -160,10 +169,12 @@ class QuadratureGrid:
     bwd: np.ndarray         # (n, n): (bwd @ f)_k = integral of f over [s_k, L]
 
     def integrate(self, f):
-        return self.weights @ f
+        """Integral of f over [0, L], along the last axis of f."""
+        return stacked_product(self.weights, f)
 
     def cumulative_from_start(self, f):
-        return self.fwd @ f
+        """Integral of f over [0, s_k], along the last axis of f."""
+        return stacked_product(self.fwd, f)
 
     def cumulative_to_end(self, f):
         return self.bwd @ f

@@ -12,10 +12,6 @@ class DomainError(ValueError):
 class SolverFault(RuntimeError):
     """A solver produced a non-finite or diverged state.
 
-    Carries the step index at which the fault was detected so runs can be
-    annotated and benchmark cells marked as non-converged.
+    The stepping loop stops the run at the fault and keeps its message and
+    step in the record (``nc_reason``, ``nc_step``).
     """
-
-    def __init__(self, message, step=None):
-        super().__init__(message)
-        self.step = step

@@ -27,37 +27,32 @@ which keeps the default dt stable without changing the update order.
 Displacement-input runs under the consistent fidelity enforce the cable
 constraint through the multiplier computed from the constrained dynamics
 (KKT solve with Baumgarte stabilization).  The closed-form multiplier
-expressions (``lambda_pre``/``lambda_post``) are diagnostics there: ``step``
-does not evaluate them, and ``simulate`` evaluates them only at recorded
-samples.  Under the literal fidelity the substituted closed form is the
-applied displacement-mode load, so that step evaluates it.
+expressions (``kinematics.lambda_boundary``/``lambda_substituted``) are
+diagnostics there: ``step`` does not evaluate them, and the record pass
+evaluates them on the state each recorded step started from.  Under the
+literal fidelity the substituted closed form is the applied displacement-mode
+load, so that step evaluates it.
+
+``simulate`` drives ``_advance`` through the shared ``records.run_loop`` and
+builds its record with ``kinematics.sampled_record``, as the SD solver does.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .actuation import ActuationProfile, DISPLACEMENT, FORCE
-from .basis import ModalBasis, QuadratureGrid, make_quadrature
+from .basis import ModalBasis, QuadratureGrid, make_quadrature, stacked_product
 from .errors import ConfigurationError, SolverFault
 from .geometry import RobotModel
-from .kinematics import compute_energies, cumtrapz, shape_grid, tendon_displacement
-from .records import SimulationRecord
+from .kinematics import lambda_substituted, sampled_record
+from .kinematics import lambda_boundary  # noqa: F401  (the closed forms are public here too)
+from .records import SimulationRecord, run_loop
 
 FIDELITIES = ("literal", "consistent")
 DAMPING_MODELS = ("drag", "pointwise", "none")
-NC_ANGLE_LIMIT = 1e3  # rad; beyond this a run is marked non-converged
-
-
-def divergence_reason(angles) -> str:
-    """Why angles failed the non-convergence check: non-finite or past the limit."""
-    if not np.all(np.isfinite(angles)):
-        return "non-finite state"
-    return (f"angle limit exceeded: |theta| = {np.max(np.abs(angles)):.3g} rad "
-            f"> {NC_ANGLE_LIMIT:g} rad")
 
 
 @dataclass
@@ -251,64 +246,6 @@ def assemble_fQ(c, asm: Assembly) -> np.ndarray:
     return assemble_state_fields(theta, np.zeros_like(theta), asm)[2]
 
 
-# -- boundary actuation coefficient ----------------------------------------
-
-
-def lambda_boundary(theta_s_L: float, asm: Assembly) -> float:
-    """Multiplier from the tip moment balance alone: 2 E I(L) theta_s(L) / W(L)."""
-    e_mod = asm.model.material.youngs_modulus
-    return 2.0 * e_mod * asm.il * theta_s_L / asm.wl
-
-
-def lambda_substituted(theta_L: float, theta_s_L: float, int_ws_theta: float,
-                       delta_l: float, asm: Assembly, eps: float) -> float:
-    """Closed-form multiplier with the constraint substituted in.
-
-    lambda = 2 E I(L) theta_s(L) theta(L) / (2 delta_l + int W_s theta ds),
-    regularized: near-zero denominator falls back to the boundary form, and a
-    fully rested state returns 0.
-    """
-    if theta_L == 0.0 and theta_s_L == 0.0:
-        return 0.0
-    den = 2.0 * delta_l + int_ws_theta
-    if abs(den) < eps:
-        return lambda_boundary(theta_s_L, asm)
-    e_mod = asm.model.material.youngs_modulus
-    lam = 2.0 * e_mod * asm.il * theta_s_L * theta_L / den
-    if not np.isfinite(lam):
-        raise SolverFault(f"non-finite multiplier (denominator {den:.3e})")
-    return lam
-
-
-def _substituted_multiplier(c, delta_l: float, asm: Assembly, eps: float) -> float:
-    """lambda_substituted evaluated on the modal coefficients c."""
-    return lambda_substituted(float(asm.phi_L @ c), float(asm.dphi_L @ c),
-                              float(asm.grid.integrate(asm.ws_nodes * (asm.phi @ c))),
-                              delta_l, asm, eps)
-
-
-def gamma(t: float, state: ModalState, asm: Assembly, profile: ActuationProfile,
-          options: SolverOptions) -> float:
-    """Boundary actuation coefficient: -Delta_F/2 (force) or +lambda/2 (displacement).
-
-    Displacement mode evaluates the closed-form multiplier from the current
-    state.  The consistent-fidelity solver enforces the cable constraint and
-    applies its own multiplier instead; ``simulate`` records this closed form
-    as the ``lambda_post`` diagnostic.
-    """
-    if profile.mode == FORCE:
-        return -0.5 * profile.value(t)
-    return 0.5 * _substituted_multiplier(state.c, profile.value(t), asm,
-                                         options.lambda_epsilon)
-
-
-def assemble_fl(t: float, state: ModalState, asm: Assembly, profile: ActuationProfile,
-                options: SolverOptions) -> np.ndarray:
-    """Actuation load vector for the requested fidelity."""
-    g = gamma(t, state, asm, profile, options)
-    return g * (asm.b_literal if options.fidelity == "literal" else asm.b_consistent)
-
-
 # -- stepping ----------------------------------------------------------------
 
 
@@ -348,8 +285,10 @@ def _advance(state: ModalState, asm: Assembly, profile: ActuationProfile,
             if profile.mode == FORCE:
                 gam = -0.5 * profile.value(t_next)
             else:
-                gam = 0.5 * _substituted_multiplier(state.c, profile.value(t_next), asm,
-                                                    options.lambda_epsilon)
+                gam = 0.5 * lambda_substituted(
+                    asm.phi_L @ state.c, asm.dphi_L @ state.c,
+                    asm.grid.integrate(asm.ws_nodes * theta), profile.value(t_next), asm,
+                    options.lambda_epsilon)
             rhs = rhs + gam * (asm.b_literal if options.fidelity == "literal"
                                else asm.b_consistent)
             c_tt = np.linalg.solve(lhs, rhs)
@@ -375,115 +314,39 @@ def simulate(model: RobotModel, profile: ActuationProfile, options: SolverOption
              scenario_id: str = "", assembly: Assembly | None = None) -> SimulationRecord:
     """Run the modal solver from rest and record the requested time series.
 
-    Wall-clock bookkeeping covers assembly and solve work only; recording and
-    I/O stay outside the timed segments.
+    ``compute_seconds`` covers the steps only; the record is built after the
+    loop, in one pass over the kept samples.
     """
-    basis = assembly.basis if assembly is not None else ModalBasis(
-        options.m, model.length, options.basis_kind)
-    grid = assembly.grid if assembly is not None else make_quadrature(
-        options.panels, options.points_per_panel, model.length)
     asm = assembly if assembly is not None else make_assembly(
-        model, basis, grid, options.damping_model)
+        model, ModalBasis(options.m, model.length, options.basis_kind),
+        make_quadrature(options.panels, options.points_per_panel, model.length),
+        options.damping_model)
+    state = ModalState.rest(asm.basis.order)
+    # sample 0: the rest state, its own diagnostic state, the t = 0 coefficient
+    first = (state.c, state, -0.5 * profile.value(0.0) if profile.mode == FORCE else 0.0)
 
-    n_steps = int(round(options.t_end / options.dt))
-    stride = options.output_stride
-    n_samples = n_steps // stride + 1
-    m = basis.order
-
-    t_s = np.zeros(n_samples)
-    states = np.zeros((n_samples, m))
-    rates = np.zeros((n_samples, m))
-    accels = np.zeros((n_samples, m))
-    scalars = {name: np.zeros(n_samples) for name in
-               ("tip_x", "tip_y", "theta_L", "theta_s_L", "delta_l", "gamma",
-                "lambda_pre", "lambda_post", "t_rot", "t_x", "t_y",
-                "u_bend", "g_pot", "command")}
-    s_shape = shape_grid(model.length)
-    phi_shape = basis.eval(s_shape)
-    shape_rows = []
-
-    def record(idx, st, gam, prev=None):
-        """Store st; prev is the state the step to st started from."""
-        theta = asm.phi @ st.c
-        theta_t = asm.phi @ st.c_t
-        theta_s = asm.dphi @ st.c
-        t_s[idx] = st.t
-        states[idx] = st.c
-        rates[idx] = st.c_t
-        accels[idx] = st.c_tt_last
-        sc = scalars
-        sc["tip_x"][idx] = grid.integrate(np.cos(theta))
-        sc["tip_y"][idx] = grid.integrate(np.sin(theta))
-        theta_l = float(asm.phi_L @ st.c)
-        sc["theta_L"][idx] = theta_l
-        sc["theta_s_L"][idx] = float(asm.dphi_L @ st.c)
-        sc["delta_l"][idx] = tendon_displacement(theta, theta_l, model, grid)
-        sc["gamma"][idx] = gam
-        if prev is not None:
-            # diagnostics on the pre-step state, with the command at the step's end
-            sc["lambda_pre"][idx] = lambda_boundary(float(asm.dphi_L @ prev.c), asm)
-            if profile.mode == DISPLACEMENT:
-                sc["lambda_post"][idx] = _substituted_multiplier(
-                    prev.c, profile.value(st.t), asm, options.lambda_epsilon)
-        en = compute_energies(theta, theta_t, theta_s, model, grid)
-        sc["t_rot"][idx] = en.t_rot
-        sc["t_x"][idx] = en.t_x
-        sc["t_y"][idx] = en.t_y
-        sc["u_bend"][idx] = en.u_bend
-        sc["g_pot"][idx] = en.g_pot
-        sc["command"][idx] = profile.value(st.t)
-        if idx % options.shape_stride == 0 or idx == n_samples - 1:
-            shape_rows.append((st.t, phi_shape @ st.c))
-
-    state = ModalState.rest(m)
-    gam0 = gamma(0.0, state, asm, profile, options)
-    record(0, state, gam0)
-
-    compute_seconds = 0.0
-    nc_step = None
-    nc_reason = ""
-    sample_idx = 0
-    for k in range(1, n_steps + 1):
+    def advance(k):
+        nonlocal state
         prev = state
-        tic = time.perf_counter()
-        try:
-            state, gam = _advance(prev, asm, profile, options)
-        except SolverFault as fault:
-            compute_seconds += time.perf_counter() - tic
-            fault.step = k
-            nc_step = k
-            nc_reason = str(fault)
-            break
-        compute_seconds += time.perf_counter() - tic
-        theta_l = asm.phi_L @ state.c
-        bad = (not np.all(np.isfinite(state.c))
-               or np.max(np.abs(theta_l)) > NC_ANGLE_LIMIT)
-        if bad:
-            nc_step = k
-            nc_reason = divergence_reason(theta_l)
-            break
-        if k % stride == 0:
-            sample_idx += 1
-            record(sample_idx, state, gam, prev)
+        state, gam = _advance(prev, asm, profile, options)
+        return prev.c, state, gam
 
-    used = sample_idx + 1
-    shape_t = np.array([row[0] for row in shape_rows])
-    shape_theta = (np.vstack([row[1] for row in shape_rows])
-                   if shape_rows else np.zeros((0, s_shape.size)))
-    shape_x = cumtrapz(np.cos(shape_theta), s_shape) if shape_theta.size else shape_theta
-    shape_y = cumtrapz(np.sin(shape_theta), s_shape) if shape_theta.size else shape_theta
-    return SimulationRecord(
-        scenario_id=scenario_id, solver="galerkin", mode=profile.mode,
-        fidelity=options.fidelity,
-        t=t_s[:used], states=states[:used], rates=rates[:used], accels=accels[:used],
-        tip_x=scalars["tip_x"][:used], tip_y=scalars["tip_y"][:used],
-        theta_L=scalars["theta_L"][:used], theta_s_L=scalars["theta_s_L"][:used],
-        delta_l=scalars["delta_l"][:used], gamma=scalars["gamma"][:used],
-        lambda_pre=scalars["lambda_pre"][:used], lambda_post=scalars["lambda_post"][:used],
-        t_rot=scalars["t_rot"][:used], t_x=scalars["t_x"][:used], t_y=scalars["t_y"][:used],
-        u_bend=scalars["u_bend"][:used], g_pot=scalars["g_pot"][:used],
-        shape_t=shape_t, shape_s=s_shape, shape_theta=shape_theta,
-        shape_x=shape_x, shape_y=shape_y,
-        compute_seconds=compute_seconds, nc_step=nc_step, nc_reason=nc_reason,
-        command=scalars["command"][:used],
-    )
+    kept, compute_seconds, nc_step, nc_reason = run_loop(
+        int(round(options.t_end / options.dt)), options.output_stride, advance,
+        lambda: asm.phi_L @ state.c)
+    c_pre, sampled, gam = zip(first, *kept)
+    c_pre = np.array(c_pre)
+    c = np.array([st.c for st in sampled])
+    c_t = np.array([st.c_t for st in sampled])
+    return sampled_record(
+        asm, profile, options, t=np.array([st.t for st in sampled]), states=c, rates=c_t,
+        accels=np.array([st.c_tt_last for st in sampled]), gamma=np.array(gam),
+        theta=stacked_product(asm.phi, c), theta_t=stacked_product(asm.phi, c_t),
+        theta_s=stacked_product(asm.dphi, c), theta_L=stacked_product(asm.phi_L, c),
+        theta_s_L=stacked_product(asm.dphi_L, c),
+        # diagnostics on the state each step started from
+        diagnostic=(stacked_product(asm.phi_L, c_pre), stacked_product(asm.dphi_L, c_pre),
+                    stacked_product(asm.phi, c_pre)),
+        shape_angles=lambda states, s: stacked_product(asm.basis.eval(s), states),
+        scenario_id=scenario_id, solver="galerkin", fidelity=options.fidelity,
+        compute_seconds=compute_seconds, nc_step=nc_step, nc_reason=nc_reason)

@@ -1,8 +1,10 @@
-"""Reconstruction of the continuous configuration and energy diagnostics.
+"""Reconstruction of the continuous configuration and the recorded diagnostics.
 
 Pure functions from sampled bending-angle fields to Cartesian backbone shape,
-tendon displacement and the energy split.  Used identically for modal and
-nodal solver states.
+tendon displacement, the energy split and the closed-form cable multipliers.
+Each takes one field or a stack of fields along its last axis, so a solver's
+recorded samples are post-processed in one pass (``sampled_record``), used
+identically for modal and nodal solver states.
 """
 
 from __future__ import annotations
@@ -11,8 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .actuation import ActuationProfile, DISPLACEMENT
 from .basis import ModalBasis, QuadratureGrid
+from .errors import SolverFault
 from .geometry import RobotModel
+from .records import SimulationRecord
 
 SHAPE_SAMPLES = 101  # uniform output grid for shapes, decoupled from assembly
 
@@ -78,7 +83,8 @@ def tendon_displacement(theta, theta_L, model: RobotModel, grid: QuadratureGrid)
     """Differential cable displacement implied by a bending-angle field.
 
     Uses the integrated-by-parts form W(L)theta(L)/2 - (1/2) int W_s theta ds,
-    which avoids differentiating the sampled field.
+    which avoids differentiating the sampled field.  A stack of fields along
+    the last axis, with one theta_L each, gives one displacement each.
     """
     ws = model.eval_W_s(grid.nodes)
     wl = model.eval_W(model.length)
@@ -87,7 +93,10 @@ def tendon_displacement(theta, theta_L, model: RobotModel, grid: QuadratureGrid)
 
 def compute_energies(theta, theta_t, theta_s, model: RobotModel,
                      grid: QuadratureGrid) -> EnergyBreakdown:
-    """Energy split for consistently sampled theta, theta_t, theta_s fields."""
+    """Energy split for consistently sampled theta, theta_t, theta_s fields.
+
+    Stacks of fields along the last axis give one value per field in each term.
+    """
     theta = np.asarray(theta, dtype=float)
     theta_t = np.asarray(theta_t, dtype=float)
     theta_s = np.asarray(theta_s, dtype=float)
@@ -107,3 +116,80 @@ def compute_energies(theta, theta_t, theta_s, model: RobotModel,
     g_pot = (model.load.q_x * grid.integrate(grid.nodes - x_pos)
              - model.load.q_y * grid.integrate(y_pos))
     return EnergyBreakdown(t_rot=t_rot, t_x=t_x, t_y=t_y, u_bend=u_bend, g_pot=g_pot)
+
+
+# -- closed-form cable multiplier ------------------------------------------
+#
+# ``plant`` is the solver's Assembly or SDWorkspace: anything carrying the
+# model and the tip values il = I(L), wl = W(L).  Every argument may be a
+# scalar or an array; the forms apply elementwise.
+
+
+def lambda_boundary(theta_s_L, plant):
+    """Multiplier from the tip moment balance alone: 2 E I(L) theta_s(L) / W(L)."""
+    e_mod = plant.model.material.youngs_modulus
+    return 2.0 * e_mod * plant.il * theta_s_L / plant.wl
+
+
+def lambda_substituted(theta_L, theta_s_L, int_ws_theta, delta_l, plant, eps: float):
+    """Closed-form multiplier with the constraint substituted in.
+
+    lambda = 2 E I(L) theta_s(L) theta(L) / (2 delta_l + int W_s theta ds),
+    regularized: near-zero denominator falls back to the boundary form, and a
+    fully rested state returns 0.  Raises SolverFault on a non-finite value.
+    """
+    den = 2.0 * delta_l + int_ws_theta
+    e_mod = plant.model.material.youngs_modulus
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = np.where(np.abs(den) < eps, lambda_boundary(theta_s_L, plant),
+                       2.0 * e_mod * plant.il * theta_s_L * theta_L / den)
+    lam = np.where((theta_L == 0.0) & (theta_s_L == 0.0), 0.0, lam)
+    bad = ~np.isfinite(lam)
+    if np.any(bad):
+        raise SolverFault("non-finite multiplier (denominator "
+                          f"{np.broadcast_to(den, lam.shape)[bad][0]:.3e})")
+    return lam[()]
+
+
+# -- one record from the recorded samples -------------------------------------
+
+
+def sampled_record(plant, profile: ActuationProfile, options, *, t, states, rates,
+                   accels, gamma, theta, theta_t, theta_s, theta_L, theta_s_L,
+                   diagnostic, shape_angles, **run) -> SimulationRecord:
+    """Build one run's SimulationRecord from all its recorded samples at once.
+
+    ``plant`` is the solver's Assembly or SDWorkspace (model, grid, il, wl).
+    theta, theta_t and theta_s are the angle fields of the S samples on
+    ``plant.grid``, stacked (S, n); theta_L and theta_s_L are (S,).  The
+    multiplier diagnostics are evaluated on ``diagnostic`` = (theta_L,
+    theta_s_L, theta field) with the command at each sample's time.
+    ``shape_angles(states, s)`` maps states to angles at arc lengths s.
+    ``run`` carries the identity and loop fields (scenario_id, solver,
+    fidelity, compute_seconds, nc_step, nc_reason).
+    """
+    model, grid = plant.model, plant.grid
+    command = np.asarray(profile.value(t), dtype=float)
+    d_theta_L, d_theta_s_L, d_theta = diagnostic
+    lambda_pre = lambda_boundary(d_theta_s_L, plant)
+    if profile.mode == DISPLACEMENT:
+        lambda_post = lambda_substituted(
+            d_theta_L, d_theta_s_L, grid.integrate(model.eval_W_s(grid.nodes) * d_theta),
+            command, plant, options.lambda_epsilon)
+    else:
+        lambda_post = np.zeros_like(t)
+    energy = compute_energies(theta, theta_t, theta_s, model, grid)
+    # a shape row at every shape_stride-th sample and at the last one
+    keep = np.r_[np.arange(0, t.size - 1, options.shape_stride), t.size - 1]
+    s_shape = shape_grid(model.length)
+    shape_theta = shape_angles(states[keep], s_shape)
+    return SimulationRecord(
+        mode=profile.mode, t=t, states=states, rates=rates, accels=accels,
+        tip_x=grid.integrate(np.cos(theta)), tip_y=grid.integrate(np.sin(theta)),
+        theta_L=theta_L, theta_s_L=theta_s_L,
+        delta_l=tendon_displacement(theta, theta_L, model, grid), gamma=gamma,
+        lambda_pre=lambda_pre, lambda_post=lambda_post,
+        t_rot=energy.t_rot, t_x=energy.t_x, t_y=energy.t_y, u_bend=energy.u_bend,
+        g_pot=energy.g_pot, shape_t=t[keep], shape_s=s_shape, shape_theta=shape_theta,
+        shape_x=cumtrapz(np.cos(shape_theta), s_shape),
+        shape_y=cumtrapz(np.sin(shape_theta), s_shape), command=command, **run)

@@ -1,10 +1,55 @@
-"""Simulation output record shared by both solvers."""
+"""Simulation output record and the stepping loop shared by both solvers.
+
+``run_loop`` drives a solver's one-step function: it times the steps, stops a
+run at a SolverFault or at the non-convergence check, and keeps every
+stride-th step's output.  Each solver then builds its ``SimulationRecord``
+from the kept samples in one pass (``kinematics.sampled_record``).
+"""
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .errors import SolverFault
+
+NC_ANGLE_LIMIT = 1e3  # rad; beyond this a run is marked non-converged
+
+
+def divergence_reason(angles) -> str:
+    """Why angles failed the non-convergence check: non-finite or past the limit."""
+    if not np.all(np.isfinite(angles)):
+        return "non-finite state"
+    return (f"angle limit exceeded: |theta| = {np.max(np.abs(angles)):.3g} rad "
+            f"> {NC_ANGLE_LIMIT:g} rad")
+
+
+def run_loop(n_steps: int, stride: int, advance, angles):
+    """Call advance(k) for k = 1..n_steps and keep every stride-th result.
+
+    Only the advance calls are timed.  A SolverFault raised by advance stops
+    the run with its message; after each step the angles() the solver exposes
+    must be finite and within NC_ANGLE_LIMIT, or the run stops there.
+    Returns (kept, compute_seconds, nc_step, nc_reason); nc_step is None and
+    nc_reason empty when every step ran.
+    """
+    kept = []
+    compute_seconds = 0.0
+    for k in range(1, n_steps + 1):
+        tic = time.perf_counter()
+        try:
+            out = advance(k)
+        except SolverFault as fault:
+            return kept, compute_seconds + time.perf_counter() - tic, k, str(fault)
+        compute_seconds += time.perf_counter() - tic
+        theta = angles()
+        if not np.all(np.isfinite(theta)) or np.max(np.abs(theta)) > NC_ANGLE_LIMIT:
+            return kept, compute_seconds, k, divergence_reason(theta)
+        if k % stride == 0:
+            kept.append(out)
+    return kept, compute_seconds, None, ""
 
 
 @dataclass

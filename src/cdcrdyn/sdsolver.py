@@ -19,21 +19,24 @@ tip slope  theta_s(L) = -Delta_F W(L) / (2 E I(L))  (force input) or
 Displacement input prescribes the cable displacement as a constraint on the
 nodal field; the multiplier is solved from the constrained dynamics with
 Baumgarte stabilization, mirroring the modal solver.
+
+``sd_simulate`` runs its step through the shared ``records.run_loop`` and
+builds its record with ``kinematics.sampled_record``, as the modal solver does.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .actuation import ActuationProfile, DISPLACEMENT, FORCE
+from .basis import stacked_product
 from .errors import ConfigurationError, SolverFault
-from .galerkin import NC_ANGLE_LIMIT, SolverOptions, divergence_reason
+from .galerkin import SolverOptions
 from .geometry import RobotModel
-from .kinematics import compute_energies, cumtrapz, shape_grid
-from .records import SimulationRecord
+from .kinematics import cumtrapz, sampled_record
+from .records import SimulationRecord, run_loop
 
 
 @dataclass
@@ -56,14 +59,12 @@ class TrapezoidGrid:
         self.length = float(self.nodes[-1])
 
     def integrate(self, f):
-        return self.weights @ f
+        """Integral of f over [0, L], along the last axis of f."""
+        return stacked_product(self.weights, f)
 
     def cumulative_from_start(self, f):
+        """Integral of f over [0, s_k], along the last axis of f."""
         return cumtrapz(np.asarray(f, dtype=float), self.nodes)
-
-    def cumulative_to_end(self, f):
-        c = self.cumulative_from_start(f)
-        return c[..., -1:] - c
 
 
 class SDWorkspace:
@@ -87,11 +88,11 @@ class SDWorkspace:
         self.rho = model.material.density
         self.e_mod = model.material.youngs_modulus
         self.c_damp = model.material.damping_coeff
-        self.i_l = model.eval_I(model.length)
-        self.w_l = model.eval_W(model.length)
+        self.il = model.eval_I(model.length)
+        self.wl = model.eval_W(model.length)
         # theta_s(L) per unit source: force source is Delta_F, displacement is lambda
-        self.slope_per_force = -self.w_l / (2.0 * self.e_mod * self.i_l)
-        self.slope_per_lambda = +self.w_l / (2.0 * self.e_mod * self.i_l)
+        self.slope_per_force = -self.wl / (2.0 * self.e_mod * self.il)
+        self.slope_per_lambda = +self.wl / (2.0 * self.e_mod * self.il)
 
         n, h = n_nodes, self.h
         # forward trapezoid prefix as an explicit matrix (constant)
@@ -130,7 +131,7 @@ class SDWorkspace:
 
         # cable displacement as a linear functional of nodal theta (by parts)
         w_sd = -0.5 * self.wtr * self.ws_n
-        w_sd[n - 1] += 0.5 * self.w_l
+        w_sd[n - 1] += 0.5 * self.wl
         self.w_sd = w_sd
 
     # cumulative helpers -----------------------------------------------------
@@ -145,12 +146,6 @@ class SDWorkspace:
         return c[-1] - c
 
     # physics pieces -----------------------------------------------------------
-
-    def coupling_matrix(self, sn, cs, weight=None):
-        """Nested-inertia operator as a dense matrix via the precomputed core."""
-        core = self.core_drag if weight is None else self.core_inertia
-        return (sn[:, None] * core * sn[None, :]
-                + cs[:, None] * core * cs[None, :])
 
     def coupling_apply(self, sn, cs, weight, v):
         """Same operator applied to a known vector, O(N)."""
@@ -235,7 +230,6 @@ def sd_simulate(model: RobotModel, profile: ActuationProfile, options: SolverOpt
     n_steps = int(round(options.t_end / dt))
     # sample at roughly the modal solver's record period
     stride = max(1, int(round(options.dt * options.output_stride / dt)))
-    n_samples = n_steps // stride + 1
 
     t_axis = np.arange(n_steps + 1) * dt
     cmd = np.asarray(profile.value(t_axis), dtype=float)
@@ -244,40 +238,20 @@ def sd_simulate(model: RobotModel, profile: ActuationProfile, options: SolverOpt
         cmd_accel = np.asarray(profile.accel(t_axis), dtype=float)
         alpha = options.constraint_gain
 
-    n = ws.n
-    theta = np.zeros(n)
-    theta_t = np.zeros(n)
-    t_s = np.zeros(n_samples)
-    states = np.zeros((n_samples, n))
-    rates = np.zeros((n_samples, n))
-    accels = np.zeros((n_samples, n))
-    gam_s = np.zeros(n_samples)
-    slope_s = np.zeros(n_samples)
-    applied = 0.0
-    last_accel = np.zeros(n)
+    theta = np.zeros(ws.n)
+    theta_t = np.zeros(ws.n)
+    # sample 0: rest, with the t = 0 source (Delta_F; lambda is 0 at rest)
+    first = (theta, theta_t, np.zeros(ws.n), cmd[0] if profile.mode == FORCE else 0.0)
 
-    def boundary_slope(source):
-        return (ws.slope_per_force if profile.mode == FORCE
-                else ws.slope_per_lambda) * source
-
-    states[0] = theta
-    rates[0] = theta_t
-    gam_s[0] = -0.5 * cmd[0] if profile.mode == FORCE else 0.0
-    slope_s[0] = boundary_slope(cmd[0] if profile.mode == FORCE else 0.0)
-
-    compute_seconds = 0.0
-    nc_step = None
-    nc_reason = ""
-    sample_idx = 0
-    for k in range(1, n_steps + 1):
-        tic = time.perf_counter()
+    def advance(k):
+        nonlocal theta, theta_t
         lhs, rhs = ws.assemble(theta, theta_t, dt_implicit=dt)
+        accel = np.zeros(ws.n)
         try:
             if profile.mode == FORCE:
                 rhs = rhs + cmd[k] * ws.u_force
-                accel = np.linalg.solve(lhs[1:, 1:], rhs[1:])
+                accel[1:] = np.linalg.solve(lhs[1:, 1:], rhs[1:])
                 applied = cmd[k]
-                gam = -0.5 * applied
             else:
                 target = (cmd_accel[k]
                           + 2.0 * alpha * (cmd_rate[k] - ws.w_sd @ theta_t)
@@ -285,72 +259,26 @@ def sd_simulate(model: RobotModel, profile: ActuationProfile, options: SolverOpt
                 sol = np.linalg.solve(lhs[1:, 1:],
                                       np.column_stack([rhs[1:], ws.u_lambda[1:]]))
                 w1 = ws.w_sd[1:]
-                lam = (target - w1 @ sol[:, 0]) / (w1 @ sol[:, 1])
-                accel = sol[:, 0] + lam * sol[:, 1]
-                applied = lam
-                gam = 0.5 * lam
+                applied = (target - w1 @ sol[:, 0]) / (w1 @ sol[:, 1])
+                accel[1:] = sol[:, 0] + applied * sol[:, 1]
         except np.linalg.LinAlgError as exc:
-            compute_seconds += time.perf_counter() - tic
-            nc_step = k
-            nc_reason = f"singular system matrix: {exc}"
-            break
-        theta_t[1:] = theta_t[1:] + dt * accel
-        theta[1:] = theta[1:] + dt * theta_t[1:]
-        compute_seconds += time.perf_counter() - tic
-        last_accel[1:] = accel
-        if not np.all(np.isfinite(theta)) or np.max(np.abs(theta)) > NC_ANGLE_LIMIT:
-            nc_step = k
-            nc_reason = divergence_reason(theta)
-            break
-        if k % stride == 0:
-            sample_idx += 1
-            t_s[sample_idx] = k * dt
-            states[sample_idx] = theta
-            rates[sample_idx] = theta_t
-            accels[sample_idx] = last_accel
-            gam_s[sample_idx] = gam
-            slope_s[sample_idx] = boundary_slope(applied)
+            raise SolverFault(f"singular system matrix: {exc}") from exc
+        theta_t = theta_t + dt * accel
+        theta = theta + dt * theta_t
+        return theta, theta_t, accel, applied
 
-    used = sample_idx + 1
-    t_s = t_s[:used]
-    states = states[:used]
-    rates = rates[:used]
-    accels = accels[:used]
-    gam_s = gam_s[:used]
-    slope_s = slope_s[:used]
-
-    # post-processing outside the timed region
-    tip_x = np.array([ws.grid.integrate(np.cos(row)) for row in states])
-    tip_y = np.array([ws.grid.integrate(np.sin(row)) for row in states])
-    theta_l = states[:, -1]
-    delta_l = states @ ws.w_sd
-    lam_pre = 2.0 * ws.e_mod * ws.i_l * slope_s / ws.w_l
-    if profile.mode == DISPLACEMENT:
-        den = 2.0 * np.interp(t_s, t_axis, cmd) + states @ (ws.wtr * ws.ws_n)
-        num = 2.0 * ws.e_mod * ws.i_l * slope_s * theta_l
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lam_post = np.where(np.abs(den) < options.lambda_epsilon, lam_pre, num / den)
+    kept, compute_seconds, nc_step, nc_reason = run_loop(n_steps, stride, advance,
+                                                         lambda: theta)
+    states, rates, accels, applied = (np.array(col) for col in zip(first, *kept))
+    if profile.mode == FORCE:
+        gamma, slope = -0.5 * applied, ws.slope_per_force * applied
     else:
-        lam_post = np.zeros_like(lam_pre)
-    energies = [compute_energies(states[i], rates[i],
-                                 np.gradient(states[i], ws.s), model, ws.grid)
-                for i in range(used)]
-    s_shape = shape_grid(model.length)
-    keep = [i for i in range(used) if i % options.shape_stride == 0 or i == used - 1]
-    shape_theta = np.vstack([np.interp(s_shape, ws.s, states[i]) for i in keep])
-    return SimulationRecord(
-        scenario_id=scenario_id, solver="sd", mode=profile.mode, fidelity="pde",
-        t=t_s, states=states, rates=rates, accels=accels,
-        tip_x=tip_x, tip_y=tip_y, theta_L=theta_l, theta_s_L=slope_s,
-        delta_l=delta_l, gamma=gam_s, lambda_pre=lam_pre, lambda_post=lam_post,
-        t_rot=np.array([e.t_rot for e in energies]),
-        t_x=np.array([e.t_x for e in energies]),
-        t_y=np.array([e.t_y for e in energies]),
-        u_bend=np.array([e.u_bend for e in energies]),
-        g_pot=np.array([e.g_pot for e in energies]),
-        shape_t=t_s[keep], shape_s=s_shape, shape_theta=shape_theta,
-        shape_x=cumtrapz(np.cos(shape_theta), s_shape),
-        shape_y=cumtrapz(np.sin(shape_theta), s_shape),
-        compute_seconds=compute_seconds, nc_step=nc_step, nc_reason=nc_reason,
-        command=np.interp(t_s, t_axis, cmd),
-    )
+        gamma, slope = 0.5 * applied, ws.slope_per_lambda * applied
+    return sampled_record(
+        ws, profile, options, t=t_axis[::stride][:len(states)], states=states,
+        rates=rates, accels=accels, gamma=gamma, theta=states, theta_t=rates,
+        theta_s=np.gradient(states, ws.s, axis=-1), theta_L=states[:, -1],
+        theta_s_L=slope, diagnostic=(states[:, -1], slope, states),
+        shape_angles=lambda rows, s: np.array([np.interp(s, ws.s, row) for row in rows]),
+        scenario_id=scenario_id, solver="sd", fidelity="pde",
+        compute_seconds=compute_seconds, nc_step=nc_step, nc_reason=nc_reason)

@@ -198,11 +198,20 @@ def test_load_vector_vanishes_sideways(case1, raw1, grid):
     assert np.abs(f_q).max() < 1e-12
 
 
+def _substituted(c, delta_l, asm, options):
+    """lambda_substituted on the fields of the modal coefficients c."""
+    c = np.asarray(c, dtype=float)
+    return lambda_substituted(asm.phi_L @ c, asm.dphi_L @ c,
+                              asm.grid.integrate(asm.ws_nodes * (asm.phi @ c)), delta_l,
+                              asm, options.lambda_epsilon)
+
+
 def test_gamma_force_mode(asm_case1, case1):
     profile = ActuationProfile.step(3.0)
     options = cd.SolverOptions()
-    state = ModalState.rest(6)
-    assert cd.gamma(0.5, state, asm_case1, profile, options) == -1.5
+    state = ModalState(0.5, np.zeros(6), np.zeros(6), np.zeros(6))
+    _, gam = _advance(state, asm_case1, profile, options)
+    assert gam == -1.5
 
 
 def test_gamma_displacement_constant_curvature(case1, raw1, grid):
@@ -214,7 +223,7 @@ def test_gamma_displacement_constant_curvature(case1, raw1, grid):
     profile = ActuationProfile.tabulated([0.0, 1.0], [delta_cmd, delta_cmd],
                                          mode=cd.DISPLACEMENT)
     options = cd.SolverOptions(m=1, basis_kind="raw_monomial")
-    lam = 2 * cd.gamma(0.0, state, asm, profile, options)
+    lam = _substituted(state.c, profile.value(0.0), asm, options)
     assert lam == pytest.approx(2 * E * I * kappa / W, rel=1e-10)
     assert lam == pytest.approx(1.14545, rel=1e-4)
 
@@ -222,7 +231,7 @@ def test_gamma_displacement_constant_curvature(case1, raw1, grid):
 def test_gamma_zero_state_regularized(asm_case1):
     profile = ActuationProfile.linear(0.008, mode=cd.DISPLACEMENT)
     options = cd.SolverOptions()
-    assert cd.gamma(0.0, ModalState.rest(6), asm_case1, profile, options) == 0.0
+    assert _substituted(ModalState.rest(6).c, profile.value(0.0), asm_case1, options) == 0.0
 
 
 def test_lambda_fallback_boundary_form(case1, raw2, grid):
@@ -232,7 +241,7 @@ def test_lambda_fallback_boundary_form(case1, raw2, grid):
     state = ModalState(0.0, np.array([a, -a]), np.zeros(2), np.zeros(2))
     profile = ActuationProfile.tabulated([0.0, 1.0], [0.0, 0.0], mode=cd.DISPLACEMENT)
     options = cd.SolverOptions(m=2, basis_kind="raw_monomial")
-    lam = 2 * cd.gamma(0.0, state, asm, profile, options)
+    lam = _substituted(state.c, profile.value(0.0), asm, options)
     theta_s_l = -a / L
     assert lam == pytest.approx(2 * E * I * theta_s_l / W, rel=1e-10)
 
@@ -240,7 +249,9 @@ def test_lambda_fallback_boundary_form(case1, raw2, grid):
 def test_actuation_load_literal(asm_raw1, case1_noload):
     profile = ActuationProfile.step(3.0)
     options = cd.SolverOptions(m=1, basis_kind="raw_monomial", fidelity="literal")
-    f_l = cd.assemble_fl(0.5, ModalState.rest(1), asm_raw1, profile, options)
+    _, gam = _advance(ModalState(0.5, np.zeros(1), np.zeros(1), np.zeros(1)), asm_raw1,
+                      profile, options)
+    f_l = gam * asm_raw1.b_literal
     # Gamma * W(0) * int phi = -1.5 * 0.11 * L/2
     assert f_l[0] == pytest.approx(-1.5 * 0.11 * L / 2, rel=1e-12)
     assert f_l[0] == pytest.approx(-0.033, rel=1e-12)
@@ -249,7 +260,9 @@ def test_actuation_load_literal(asm_raw1, case1_noload):
 def test_actuation_load_consistent_constant_spacing(asm_raw1):
     profile = ActuationProfile.step(3.0)
     options = cd.SolverOptions(m=1, basis_kind="raw_monomial", fidelity="consistent")
-    f_l = cd.assemble_fl(0.5, ModalState.rest(1), asm_raw1, profile, options)
+    _, gam = _advance(ModalState(0.5, np.zeros(1), np.zeros(1), np.zeros(1)), asm_raw1,
+                      profile, options)
+    f_l = gam * asm_raw1.b_consistent
     # constant W: f = Gamma * W * phi(L)
     assert f_l[0] == pytest.approx(-1.5 * W * 1.0, rel=1e-12)
 
