@@ -27,11 +27,6 @@ PROFILE_KINDS = (
 )
 
 
-def antagonistic_pair(delta):
-    """Split one differential displacement over the antagonistic cable pair."""
-    return delta, -delta
-
-
 @dataclass(frozen=True)
 class ActuationProfile:
     mode: str

@@ -176,9 +176,6 @@ class QuadratureGrid:
         """Integral of f over [0, s_k], along the last axis of f."""
         return stacked_product(self.fwd, f)
 
-    def cumulative_to_end(self, f):
-        return self.bwd @ f
-
 
 def _partial_panel_matrix(x: np.ndarray) -> np.ndarray:
     """P[i, j] = integral of the j-th Lagrange basis over [-1, x_i]."""
@@ -217,8 +214,3 @@ def make_quadrature(panels: int, points_per_panel: int, length: float) -> Quadra
     return QuadratureGrid(length=length, panels=panels,
                           points_per_panel=points_per_panel,
                           nodes=nodes, weights=weights, fwd=fwd, bwd=bwd)
-
-
-def nested_upper_integral(f, grid: QuadratureGrid):
-    """g(s_k) = integral of f over [s_k, L], one backward cumulative pass."""
-    return grid.cumulative_to_end(np.asarray(f, dtype=float))

@@ -11,9 +11,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
-from .config import RunConfig, parse_config, scenario_from_config, solver_options
+from .config import RunConfig, parse_config, scenario_from_config
 from .errors import ConfigurationError, SolverFault
+from .galerkin import FIDELITIES
 from .recordio import (format_benchmark_table, read_record_csv, record_shapes,
                        write_benchmark_csv, write_record_csv, write_shape_svg)
 from .scenarios import (builtin_suite, compare_records, run_benchmark,
@@ -35,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", metavar="PATH", help="INI config file")
         p.add_argument("--out", metavar="DIR", help="output directory")
-        p.add_argument("--fidelity", choices=("literal", "consistent"))
+        p.add_argument("--fidelity", choices=FIDELITIES)
 
     p_run = sub.add_parser("run", help="run one scenario")
     add_common(p_run)
@@ -57,21 +59,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> RunConfig:
-    if getattr(args, "config", None):
+    if getattr(args, "config", None) is not None:
         with open(args.config) as fh:
             cfg = parse_config(fh.read())
     else:
         cfg = RunConfig()
-    if getattr(args, "scenario", None):
-        cfg.scenario = args.scenario
-    if getattr(args, "solver", None):
-        cfg.solver = args.solver
-    if getattr(args, "fidelity", None):
-        cfg.fidelity = args.fidelity
-    if getattr(args, "out", None):
-        cfg.out_dir = args.out
-    if getattr(args, "repeats", None):
-        cfg.repeats = args.repeats
+    for arg, attr in (("scenario", "scenario"), ("solver", "solver"),
+                      ("out", "out_dir"), ("repeats", "repeats")):
+        if getattr(args, arg, None) is not None:
+            setattr(cfg, attr, getattr(args, arg))
+    if getattr(args, "fidelity", None) is not None:
+        cfg.options = replace(cfg.options, fidelity=args.fidelity)
     return cfg
 
 
@@ -119,15 +117,11 @@ def main(argv=None) -> int:
             return _run_one(scenario, cfg)
         if args.command == "suite":
             worst = EXIT_OK
-            for scenario in builtin_suite(solver_options(cfg, horizon=1.0)):
-                scenario.options.t_end = scenario.horizon
+            for scenario in builtin_suite(cfg.options):
                 worst = max(worst, _run_one(scenario, cfg))
             return worst
         if args.command == "bench":
-            suite = builtin_suite(solver_options(cfg, horizon=1.0))
-            for scenario in suite:
-                scenario.options.t_end = scenario.horizon
-            report = run_benchmark(suite, repeats=cfg.repeats)
+            report = run_benchmark(builtin_suite(cfg.options), repeats=cfg.repeats)
             os.makedirs(cfg.out_dir, exist_ok=True)
             write_benchmark_csv(report, os.path.join(cfg.out_dir, "benchmark.csv"))
             print(format_benchmark_table(report))

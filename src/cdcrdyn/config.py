@@ -4,13 +4,18 @@ Sections: [run] scenario selection and output, [galerkin] modal solver
 numerics, [sd] finite-difference numerics, [model] case selection plus
 parameter overrides, [profile] an inline actuation profile.  Unknown sections
 or keys are errors; values are validated with the offending key named.
+
+The solver settings live on one ``SolverOptions`` (``RunConfig.options``),
+which holds their defaults and validates them.  ``_OPTION_KEYS`` is the one
+table that maps each INI key onto its ``SolverOptions`` field.
 """
 
 from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 from .actuation import ActuationProfile, PROFILE_KINDS, profile_from_csv
 from .errors import ConfigurationError
@@ -19,16 +24,24 @@ from .geometry import (GeometryProfile, MaterialParams, DistributedLoad,
                        RobotModel, build_case_model, derived_density, CASE_IDS)
 from .scenarios import Scenario, scenario_by_id
 
+# (section, key) -> (SolverOptions field, type)
+_OPTION_KEYS = {
+    ("run", "fidelity"): ("fidelity", str),
+    ("run", "output_stride"): ("output_stride", int),
+    ("galerkin", "m"): ("m", int),
+    ("galerkin", "dt"): ("dt", float),
+    ("galerkin", "panels"): ("panels", int),
+    ("galerkin", "points_per_panel"): ("points_per_panel", int),
+    ("galerkin", "basis"): ("basis_kind", str),
+    ("galerkin", "damping_model"): ("damping_model", str),
+    ("galerkin", "lambda_epsilon"): ("lambda_epsilon", float),
+    ("galerkin", "constraint_gain"): ("constraint_gain", float),
+    ("sd", "nodes"): ("sd_nodes", int),
+    ("sd", "dt"): ("sd_dt", float),
+}
 _RUN_KEYS = {
-    "scenario": str, "solver": str, "fidelity": str, "out": str,
-    "repeats": int, "horizon": float, "output_stride": int,
+    "scenario": str, "solver": str, "out": str, "repeats": int, "horizon": float,
 }
-_GALERKIN_KEYS = {
-    "m": int, "dt": float, "panels": int, "points_per_panel": int,
-    "basis": str, "damping_model": str, "lambda_epsilon": float,
-    "constraint_gain": float,
-}
-_SD_KEYS = {"nodes": int, "dt": float}
 _MODEL_KEYS = {
     "case": str, "length": float, "youngs_modulus": float, "density": float,
     "damping_coeff": float, "q_x": float, "q_y": float, "cable_spacing": float,
@@ -42,32 +55,20 @@ _PROFILE_KEYS = {
     "hold_value": float, "csv": str,
 }
 _SECTIONS = {
-    "run": _RUN_KEYS, "galerkin": _GALERKIN_KEYS, "sd": _SD_KEYS,
+    "run": _RUN_KEYS, "galerkin": {}, "sd": {},
     "model": _MODEL_KEYS, "profile": _PROFILE_KEYS,
 }
 _SOLVER_CHOICES = ("galerkin", "sd", "both")
-_FIDELITY_CHOICES = ("literal", "consistent")
 
 
 @dataclass
 class RunConfig:
     scenario: str = "case1_linear"
     solver: str = "both"
-    fidelity: str = "consistent"
     out_dir: str = "out"
     repeats: int = 3
     horizon: float | None = None
-    output_stride: int = 10
-    m: int = 6
-    dt: float = 1e-3
-    panels: int = 16
-    points_per_panel: int = 5
-    basis: str = "orthonormal"
-    damping_model: str = "drag"
-    lambda_epsilon: float = 1e-8
-    constraint_gain: float = 20.0
-    sd_nodes: int = 201
-    sd_dt: float = 2e-5
+    options: SolverOptions = field(default_factory=SolverOptions)
     model: dict = field(default_factory=dict)
     profile: dict = field(default_factory=dict)
 
@@ -77,6 +78,10 @@ def _convert(section, key, raw, typ):
         return typ(raw)
     except ValueError as exc:
         raise ConfigurationError(f"[{section}] {key}: cannot parse {raw!r}") from exc
+
+
+def _text(value) -> str:
+    return value if isinstance(value, str) else repr(value)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -90,23 +95,23 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigurationError(f"config parse error: {exc}") from exc
 
     cfg = RunConfig()
+    options = {}
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ConfigurationError(f"unknown config section [{section}]")
         schema = _SECTIONS[section]
         for key, raw in parser.items(section):
-            if key not in schema:
+            if (section, key) in _OPTION_KEYS:
+                name, typ = _OPTION_KEYS[section, key]
+                options[name] = _convert(section, key, raw, typ)
+            elif key not in schema:
                 raise ConfigurationError(f"unknown key {key!r} in section [{section}]")
-            value = _convert(section, key, raw, schema[key])
-            if section == "run":
-                attr = {"out": "out_dir"}.get(key, key)
-                setattr(cfg, attr, value)
-            elif section == "galerkin":
-                setattr(cfg, key, value)
-            elif section == "sd":
-                setattr(cfg, {"nodes": "sd_nodes", "dt": "sd_dt"}[key], value)
+            elif section == "run":
+                setattr(cfg, {"out": "out_dir"}.get(key, key),
+                        _convert(section, key, raw, schema[key]))
             else:
-                getattr(cfg, section)[key] = value
+                getattr(cfg, section)[key] = _convert(section, key, raw, schema[key])
+    cfg.options = SolverOptions(**options)
     _validate(cfg)
     return cfg
 
@@ -114,57 +119,34 @@ def parse_config(text: str) -> RunConfig:
 def _validate(cfg: RunConfig) -> None:
     if cfg.solver not in _SOLVER_CHOICES:
         raise ConfigurationError(f"solver must be one of {_SOLVER_CHOICES}")
-    if cfg.fidelity not in _FIDELITY_CHOICES:
-        raise ConfigurationError(f"fidelity must be one of {_FIDELITY_CHOICES}")
     if cfg.repeats < 1:
         raise ConfigurationError("repeats must be at least 1")
-    if cfg.horizon is not None and not cfg.horizon > 0:
-        raise ConfigurationError("horizon must be positive")
+    if cfg.horizon is not None and not 0 < cfg.horizon < math.inf:
+        raise ConfigurationError("horizon must be positive and finite")
     if "case" in cfg.model and cfg.model["case"] not in CASE_IDS:
         raise ConfigurationError(f"[model] case must be one of {CASE_IDS}")
     if "kind" in cfg.profile and cfg.profile["kind"] not in PROFILE_KINDS:
         raise ConfigurationError(f"[profile] kind must be one of {PROFILE_KINDS}")
     if "mode" in cfg.profile and cfg.profile["mode"] not in ("force", "displacement"):
         raise ConfigurationError("[profile] mode must be force or displacement")
-    # reuse the option validators for the numeric solver knobs
-    solver_options(cfg, horizon=cfg.horizon if cfg.horizon else 1.0)
 
 
 def serialize_config(cfg: RunConfig) -> str:
-    parser = configparser.ConfigParser(interpolation=None)
-    parser["run"] = {
-        "scenario": cfg.scenario, "solver": cfg.solver, "fidelity": cfg.fidelity,
-        "out": cfg.out_dir, "repeats": repr(cfg.repeats),
-        "output_stride": repr(cfg.output_stride),
-    }
+    sections = {"run": {"scenario": cfg.scenario, "solver": cfg.solver,
+                        "out": cfg.out_dir, "repeats": repr(cfg.repeats)}}
     if cfg.horizon is not None:
-        parser["run"]["horizon"] = repr(cfg.horizon)
-    parser["galerkin"] = {
-        "m": repr(cfg.m), "dt": repr(cfg.dt), "panels": repr(cfg.panels),
-        "points_per_panel": repr(cfg.points_per_panel), "basis": cfg.basis,
-        "damping_model": cfg.damping_model,
-        "lambda_epsilon": repr(cfg.lambda_epsilon),
-        "constraint_gain": repr(cfg.constraint_gain),
-    }
-    parser["sd"] = {"nodes": repr(cfg.sd_nodes), "dt": repr(cfg.sd_dt)}
+        sections["run"]["horizon"] = repr(cfg.horizon)
+    for (section, key), (name, _) in _OPTION_KEYS.items():
+        sections.setdefault(section, {})[key] = _text(getattr(cfg.options, name))
     for name in ("model", "profile"):
         data = getattr(cfg, name)
         if data:
-            parser[name] = {k: (v if isinstance(v, str) else repr(v))
-                            for k, v in data.items()}
+            sections[name] = {k: _text(v) for k, v in data.items()}
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_dict(sections)
     out = io.StringIO()
     parser.write(out)
     return out.getvalue()
-
-
-def solver_options(cfg: RunConfig, horizon: float) -> SolverOptions:
-    return SolverOptions(
-        dt=cfg.dt, t_end=horizon, fidelity=cfg.fidelity,
-        lambda_epsilon=cfg.lambda_epsilon, m=cfg.m, basis_kind=cfg.basis,
-        panels=cfg.panels, points_per_panel=cfg.points_per_panel,
-        damping_model=cfg.damping_model, constraint_gain=cfg.constraint_gain,
-        output_stride=cfg.output_stride, sd_nodes=cfg.sd_nodes, sd_dt=cfg.sd_dt,
-    )
 
 
 def model_from_config(cfg: RunConfig) -> RobotModel:
@@ -249,19 +231,19 @@ def profile_from_config(cfg: RunConfig) -> ActuationProfile | None:
 
 
 def scenario_from_config(cfg: RunConfig) -> Scenario:
-    """Builtin scenario by id, or an inline one from [model]/[profile]."""
-    inline_profile = profile_from_config(cfg)
-    if cfg.scenario != "inline":
-        scenario = scenario_by_id(cfg.scenario)
-        horizon = cfg.horizon or scenario.horizon
-        options = solver_options(cfg, horizon)
-        model = model_from_config(cfg) if cfg.model else scenario.model
-        profile = inline_profile or scenario.profile
-        return Scenario(id=scenario.id, model=model, profile=profile,
-                        horizon=horizon, options=options)
-    if inline_profile is None:
-        raise ConfigurationError("inline scenario needs a [profile] section")
-    horizon = cfg.horizon or 3.0
-    return Scenario(id="inline", model=model_from_config(cfg),
-                    profile=inline_profile, horizon=horizon,
-                    options=solver_options(cfg, horizon))
+    """Builtin scenario by id, or an inline one from [model]/[profile].
+
+    [model], [profile] and the [run] horizon override a builtin's own.
+    """
+    profile = profile_from_config(cfg)
+    if cfg.scenario == "inline":
+        if profile is None:
+            raise ConfigurationError("inline scenario needs a [profile] section")
+        sid, model, horizon = "inline", model_from_config(cfg), 3.0
+    else:
+        builtin = scenario_by_id(cfg.scenario)
+        sid, horizon, profile = builtin.id, builtin.horizon, profile or builtin.profile
+        model = model_from_config(cfg) if cfg.model else builtin.model
+    horizon = cfg.horizon or horizon
+    return Scenario(id=sid, model=model, profile=profile, horizon=horizon,
+                    options=replace(cfg.options, t_end=horizon))

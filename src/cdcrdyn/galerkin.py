@@ -39,6 +39,7 @@ builds its record with ``kinematics.sampled_record``, as the SD solver does.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +76,9 @@ class SolverOptions:
     sd_dt: float = 2e-5
 
     def __post_init__(self):
+        for name in ("dt", "sd_dt", "t_end", "lambda_epsilon", "constraint_gain"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite")
         if not self.dt > 0:
             raise ConfigurationError("dt must be positive")
         if self.t_end < 0:

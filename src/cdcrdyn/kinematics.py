@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .actuation import ActuationProfile, DISPLACEMENT
-from .basis import ModalBasis, QuadratureGrid
+from .basis import QuadratureGrid
 from .errors import SolverFault
 from .geometry import RobotModel
 from .records import SimulationRecord
@@ -59,14 +59,6 @@ class EnergyBreakdown:
     @property
     def mechanical(self):
         return self.kinetic + self.u_bend + self.g_pot
-
-
-def theta_field(c, basis: ModalBasis, s):
-    """Bending angle theta(s) = Phi(s)^T c at the sample points."""
-    c = np.asarray(c, dtype=float)
-    if c.shape[-1] != basis.order:
-        raise ValueError(f"coefficient vector has {c.shape[-1]} entries, basis order is {basis.order}")
-    return basis.eval(s) @ c
 
 
 def backbone_positions(s, theta) -> BackboneShape:

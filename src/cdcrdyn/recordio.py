@@ -15,7 +15,6 @@ from .scenarios import SpeedupReport
 
 RECORD_HEADER = "t,tip_x,tip_y,theta_L,delta_l,gamma,T_rot,T_x,T_y,U_b,compute_flag"
 SHAPES_HEADER = "t,s,x,y,theta"
-BACKBONE_HEADER = "s,x,y,theta,kappa"
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
                "#8c564b", "#17becf", "#7f7f7f")
 
@@ -116,15 +115,6 @@ def read_record_csv(path: str) -> SimulationRecord:
         compute_seconds=0.0,
         nc_step=(n - 1 if n and data[-1, 10] == 0.0 else None),
     )
-
-
-def write_backbone_csv(shape: BackboneShape, path: str) -> None:
-    lines = [BACKBONE_HEADER]
-    for i in range(shape.s.size):
-        lines.append(",".join(_fmt(v) for v in (
-            shape.s[i], shape.x[i], shape.y[i], shape.theta[i], shape.kappa[i])))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def record_shapes(record: SimulationRecord):

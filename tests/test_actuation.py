@@ -39,12 +39,6 @@ def test_step_is_right_continuous():
     assert prof.value(-1e-9) == 0.0
 
 
-def test_antagonistic_pair():
-    assert cd.antagonistic_pair(0.016) == (0.016, -0.016)
-    assert cd.antagonistic_pair(0.0) == (0.0, 0.0)
-    assert cd.antagonistic_pair(-0.01) == (-0.01, 0.01)
-
-
 def _all_profiles():
     return {
         "linear": ActuationProfile.linear(0.8, -0.2),

@@ -93,7 +93,7 @@ def test_quadrature_monomial_products_match_symbolic(grid):
 
 
 def test_nested_upper_integral_constant(grid):
-    g = cd.nested_upper_integral(np.ones_like(grid.nodes), grid)
+    g = grid.bwd @ np.ones_like(grid.nodes)
     assert np.allclose(g, 0.4 - grid.nodes, atol=1e-13)
     # value at the clamped end equals the full integral
     assert grid.integrate(np.ones_like(grid.nodes)) == pytest.approx(0.4, abs=1e-12)
@@ -101,7 +101,7 @@ def test_nested_upper_integral_constant(grid):
 
 def test_nested_upper_integral_linear():
     grid = cd.make_quadrature(16, 5, 1.0)
-    g = cd.nested_upper_integral(grid.nodes, grid)
+    g = grid.bwd @ grid.nodes
     assert np.abs(g - (1 - grid.nodes**2) / 2).max() < 1e-10
 
 
@@ -111,14 +111,14 @@ def test_nested_upper_integral_monotone(grid, rng):
         a, b, w = rng.uniform(0.5, 2.0), rng.uniform(0.0, 0.4), rng.uniform(1.0, 20.0)
         f = a + b * np.sin(w * grid.nodes)
         assert np.all(f >= 0)
-        g = cd.nested_upper_integral(f, grid)
+        g = grid.bwd @ f
         assert np.all(np.diff(g) <= 1e-12)
 
 
 def test_cumulative_operators_are_complementary(grid, rng):
     f = rng.normal(size=grid.nodes.size)
     total = grid.integrate(f)
-    assert np.allclose(grid.cumulative_from_start(f) + grid.cumulative_to_end(f), total)
+    assert np.allclose(grid.cumulative_from_start(f) + grid.bwd @ f, total)
 
 
 def test_configuration_errors():

@@ -1,6 +1,9 @@
 import pytest
 
+import cdcrdyn as cd
+import cdcrdyn.cli as cli_mod
 from cdcrdyn.cli import main
+from cdcrdyn.scenarios import Scenario
 from cdcrdyn.recordio import RECORD_HEADER, SHAPES_HEADER, read_record_csv
 
 
@@ -40,8 +43,10 @@ t0 = 0
 
 def test_config_error_exit_code(tmp_path):
     cfg = tmp_path / "bad.ini"
-    cfg.write_text("[galerkin]\ndt = -1\n")
-    assert main(["run", "--config", str(cfg)]) == 2
+    for text in ("[galerkin]\ndt = -1\n", "[run]\nhorizon = inf\n",
+                 "[galerkin]\ndt = inf\n", "[sd]\ndt = inf\n"):
+        cfg.write_text(text)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2, text
 
 
 def test_unknown_scenario_exit_code(tmp_path):
@@ -88,24 +93,28 @@ def test_compare_command(tmp_path, capsys):
     assert "tip_rmse" in printed and "shape_rmse" in printed
 
 
+def _tiny_suite(base=None):
+    # one fast scenario, to keep the CLI benchmark tests quick
+    options = cd.SolverOptions(t_end=0.05, sd_nodes=61, sd_dt=1e-4)
+    return [Scenario(id="case1_step", model=cd.build_case_model("case1"),
+                     profile=cd.ActuationProfile.step(3.0),
+                     horizon=0.05, options=options)]
+
+
 def test_bench_command(tmp_path, capsys, monkeypatch):
-    # shrink the suite to one fast scenario to keep the CLI test quick
-    import cdcrdyn.cli as cli_mod
-    from cdcrdyn.scenarios import Scenario
-    import cdcrdyn as cd
-
-    def tiny_suite(base=None):
-        options = cd.SolverOptions(t_end=0.05, sd_nodes=61, sd_dt=1e-4)
-        return [Scenario(id="case1_step", model=cd.build_case_model("case1"),
-                         profile=cd.ActuationProfile.step(3.0),
-                         horizon=0.05, options=options)]
-
-    monkeypatch.setattr(cli_mod, "builtin_suite", tiny_suite)
+    monkeypatch.setattr(cli_mod, "builtin_suite", _tiny_suite)
     code = main(["bench", "--repeats", "3", "--out", str(tmp_path / "bench")])
     assert code == 0
     table = capsys.readouterr().out
     assert "Speedup" in table and "case1_step" in table
     assert (tmp_path / "bench" / "benchmark.csv").exists()
+
+
+def test_bench_repeats_zero_is_an_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli_mod, "builtin_suite", _tiny_suite)
+    code = main(["bench", "--repeats", "0", "--out", str(tmp_path / "bench")])
+    assert code == 2
+    assert "at least 3 repeats" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("record_rows, shape_rows", [

@@ -1,10 +1,14 @@
+import configparser
+import pathlib
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import cdcrdyn as cd
-from cdcrdyn.config import (RunConfig, model_from_config, parse_config,
-                            profile_from_config, scenario_from_config,
-                            serialize_config)
+from cdcrdyn.config import (_OPTION_KEYS, RunConfig, model_from_config,
+                            parse_config, profile_from_config,
+                            scenario_from_config, serialize_config)
 from cdcrdyn.errors import ConfigurationError
 
 
@@ -12,8 +16,8 @@ def test_minimal_config_gets_defaults():
     cfg = parse_config("[run]\nscenario = case1_step\nsolver = both\n")
     assert cfg.scenario == "case1_step"
     assert cfg.solver == "both"
-    assert cfg.m == 6 and cfg.dt == 1e-3 and cfg.sd_nodes == 201
-    assert cfg.fidelity == "consistent"
+    assert cfg.options.m == 6 and cfg.options.dt == 1e-3 and cfg.options.sd_nodes == 201
+    assert cfg.options.fidelity == "consistent"
 
 
 def test_negative_dt_names_key():
@@ -121,9 +125,11 @@ _floats = st.floats(min_value=1e-6, max_value=1e3, allow_nan=False,
        qy=st.floats(min_value=-5, max_value=5, allow_nan=False))
 def test_config_roundtrip(scenario, solver, fidelity, dt, m, repeats, stride,
                           horizon, damping, qy):
-    cfg = RunConfig(scenario=scenario, solver=solver, fidelity=fidelity,
-                    dt=dt, m=m, repeats=repeats, output_stride=stride,
-                    horizon=horizon, damping_model=damping,
+    cfg = RunConfig(scenario=scenario, solver=solver, repeats=repeats,
+                    horizon=horizon,
+                    options=cd.SolverOptions(fidelity=fidelity, dt=dt, m=m,
+                                             output_stride=stride,
+                                             damping_model=damping),
                     model={"case": "case1", "q_y": qy},
                     profile={"kind": "step", "height": 3.0, "t0": 0.0})
     assert parse_config(serialize_config(cfg)) == cfg
@@ -132,3 +138,16 @@ def test_config_roundtrip(scenario, solver, fidelity, dt, m, repeats, stride,
 def test_roundtrip_default_config():
     cfg = RunConfig()
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+def test_readme_config_example_is_live():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = re.search(r"```ini\n(.*?)```", readme.read_text(), re.S).group(1)
+    cfg = parse_config(block)
+    assert cfg.scenario == "caseA" and cfg.horizon == 5.0
+    assert parse_config(serialize_config(cfg)) == cfg
+    # every solver setting is documented
+    documented = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    documented.read_string(block)
+    assert set(_OPTION_KEYS) <= {(section, key) for section in documented.sections()
+                                 for key in documented[section]}

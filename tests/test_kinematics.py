@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 import cdcrdyn as cd
-from cdcrdyn.kinematics import backbone_positions, compute_energies, theta_field
+from cdcrdyn.kinematics import backbone_positions, compute_energies
 
 
 def test_theta_field_zero(basis6, grid):
-    theta = theta_field(np.zeros(6), basis6, grid.nodes)
+    theta = basis6.eval(grid.nodes) @ np.zeros(6)
     assert np.all(theta == 0)
 
 
 def test_theta_field_constant_curvature(raw1, grid):
     kappa = 2.5
-    theta = theta_field(np.array([kappa * 0.4]), raw1, grid.nodes)
+    theta = raw1.eval(grid.nodes) @ np.array([kappa * 0.4])
     assert np.allclose(theta, kappa * grid.nodes)
 
 
@@ -22,14 +22,10 @@ def test_theta_field_linearity(basis6, grid, rng):
     c1 = rng.normal(size=6)
     c2 = rng.normal(size=6)
     a, b = 0.7, -1.3
-    combo = theta_field(a * c1 + b * c2, basis6, grid.nodes)
-    parts = a * theta_field(c1, basis6, grid.nodes) + b * theta_field(c2, basis6, grid.nodes)
+    phi = basis6.eval(grid.nodes)
+    combo = phi @ (a * c1 + b * c2)
+    parts = a * (phi @ c1) + b * (phi @ c2)
     assert np.allclose(combo, parts)
-
-
-def test_theta_field_dimension_mismatch(basis6, grid):
-    with pytest.raises(ValueError):
-        theta_field(np.zeros(4), basis6, grid.nodes)
 
 
 def test_backbone_straight():
@@ -128,8 +124,9 @@ def test_kinetic_energy_consistent_with_velocity_field(case1, basis6, grid, rng)
     c_t = rng.normal(0, 0.5, 6)
     dt = 1e-6
     s = grid.nodes
-    theta0 = theta_field(c, basis6, s)
-    theta1 = theta_field(c + dt * c_t, basis6, s)
+    phi = basis6.eval(s)
+    theta0 = phi @ c
+    theta1 = phi @ (c + dt * c_t)
     x0 = grid.cumulative_from_start(np.cos(theta0))
     y0 = grid.cumulative_from_start(np.sin(theta0))
     x1 = grid.cumulative_from_start(np.cos(theta1))
@@ -139,6 +136,6 @@ def test_kinetic_energy_consistent_with_velocity_field(case1, basis6, grid, rng)
     rho = case1.material.density
     a_n = case1.eval_A(s)
     t_trans_fd = 0.5 * rho * grid.integrate(a_n * (vx**2 + vy**2))
-    theta_t = theta_field(c_t, basis6, s)
+    theta_t = phi @ c_t
     en = compute_energies(theta0, theta_t, basis6.deriv(s) @ c, case1, grid)
     assert abs((en.t_x + en.t_y) - t_trans_fd) / t_trans_fd < 0.01

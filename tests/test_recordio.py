@@ -5,7 +5,7 @@ import cdcrdyn as cd
 from cdcrdyn.recordio import (RECORD_HEADER, format_benchmark_table,
                               read_record_csv, record_shapes, shapes_path,
                               write_benchmark_csv, write_record_csv,
-                              write_backbone_csv, write_shape_svg)
+                              write_shape_svg)
 from cdcrdyn.scenarios import ScenarioTiming, SpeedupReport
 
 
@@ -66,16 +66,6 @@ def test_nc_record_flags_last_row(tmp_path, case1):
     last = path.read_text().splitlines()[-1]
     assert last.endswith(",0")
     assert read_record_csv(str(path)).nc_step is not None
-
-
-def test_backbone_csv(tmp_path):
-    s = np.linspace(0, 0.4, 11)
-    shape = cd.backbone_positions(s, np.zeros_like(s))
-    path = tmp_path / "shape.csv"
-    write_backbone_csv(shape, str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "s,x,y,theta,kappa"
-    assert len(lines) == 12
 
 
 def test_svg_single_straight_shape(tmp_path):
