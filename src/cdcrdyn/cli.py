@@ -73,6 +73,12 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
+def _suite(cfg: RunConfig) -> list[Scenario]:
+    """The builtin suite under cfg's options, run for its [run] horizon if set."""
+    return [replace(scenario, horizon=cfg.horizon or scenario.horizon)
+            for scenario in builtin_suite(cfg.options)]
+
+
 def _solvers(cfg: RunConfig):
     return ("galerkin", "sd") if cfg.solver == "both" else (cfg.solver,)
 
@@ -117,11 +123,11 @@ def main(argv=None) -> int:
             return _run_one(scenario, cfg)
         if args.command == "suite":
             worst = EXIT_OK
-            for scenario in builtin_suite(cfg.options):
+            for scenario in _suite(cfg):
                 worst = max(worst, _run_one(scenario, cfg))
             return worst
         if args.command == "bench":
-            report = run_benchmark(builtin_suite(cfg.options), repeats=cfg.repeats)
+            report = run_benchmark(_suite(cfg), repeats=cfg.repeats)
             os.makedirs(cfg.out_dir, exist_ok=True)
             write_benchmark_csv(report, os.path.join(cfg.out_dir, "benchmark.csv"))
             print(format_benchmark_table(report))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .actuation import ActuationProfile, PROFILE_KINDS, profile_from_csv
 from .errors import ConfigurationError
@@ -34,8 +34,6 @@ _OPTION_KEYS = {
     ("galerkin", "points_per_panel"): ("points_per_panel", int),
     ("galerkin", "basis"): ("basis_kind", str),
     ("galerkin", "damping_model"): ("damping_model", str),
-    ("galerkin", "lambda_epsilon"): ("lambda_epsilon", float),
-    ("galerkin", "constraint_gain"): ("constraint_gain", float),
     ("sd", "nodes"): ("sd_nodes", int),
     ("sd", "dt"): ("sd_dt", float),
 }
@@ -244,6 +242,5 @@ def scenario_from_config(cfg: RunConfig) -> Scenario:
         builtin = scenario_by_id(cfg.scenario)
         sid, horizon, profile = builtin.id, builtin.horizon, profile or builtin.profile
         model = model_from_config(cfg) if cfg.model else builtin.model
-    horizon = cfg.horizon or horizon
-    return Scenario(id=sid, model=model, profile=profile, horizon=horizon,
-                    options=replace(cfg.options, t_end=horizon))
+    return Scenario(id=sid, model=model, profile=profile,
+                    horizon=cfg.horizon or horizon, options=cfg.options)

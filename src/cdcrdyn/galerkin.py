@@ -12,26 +12,23 @@ step is one product with an n x (2m + 2) block plus an m x m solve.
 
 Two assembly fidelities are provided:
 
-* ``literal``    - the integrated-equation discretization: no
-                   bending-stiffness matrix, actuation load spread as
-                   Gamma * W(0) * int(Phi).
 * ``consistent`` - the weak form of the governing PDE with the natural tip
                    boundary condition applied: adds the bending stiffness
                    S = E int I Phi_s Phi_s^T ds and the boundary-consistent
                    actuation load Gamma * [W(L) Phi(L) - int W_s Phi ds].
+* ``literal``    - the integrated-equation discretization, force input only
+                   (a displacement-input step raises ConfigurationError): no
+                   bending-stiffness matrix, actuation load Gamma W(0) int(Phi).
 
 Stiffness and damping contributions are treated semi-implicitly (evaluated at
 the end-of-step velocity/position predicted from the unknown acceleration),
 which keeps the default dt stable without changing the update order.
 
-Displacement-input runs under the consistent fidelity enforce the cable
-constraint through the multiplier computed from the constrained dynamics
-(KKT solve with Baumgarte stabilization).  The closed-form multiplier
-expressions (``kinematics.lambda_boundary``/``lambda_substituted``) are
-diagnostics there: ``step`` does not evaluate them, and the record pass
-evaluates them on the state each recorded step started from.  Under the
-literal fidelity the substituted closed form is the applied displacement-mode
-load, so that step evaluates it.
+Displacement input enforces the cable constraint w_cable . c = delta_l(t) by
+the Baumgarte-stabilized KKT solve the SD solver shares
+(``records.constrained_solve``).  The closed-form multipliers
+(``kinematics.lambda_boundary``/``lambda_substituted``) are diagnostics the
+record pass evaluates on the state each recorded step started from.
 
 ``simulate`` drives ``_advance`` through the shared ``records.run_loop`` and
 builds its record with ``kinematics.sampled_record``, as the SD solver does.
@@ -45,12 +42,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .actuation import ActuationProfile, DISPLACEMENT, FORCE
-from .basis import ModalBasis, QuadratureGrid, make_quadrature, stacked_product
+from .basis import (BASIS_KINDS, ModalBasis, QuadratureGrid, make_quadrature,
+                    stacked_product)
 from .errors import ConfigurationError, SolverFault
 from .geometry import RobotModel
-from .kinematics import lambda_substituted, sampled_record
-from .kinematics import lambda_boundary  # noqa: F401  (the closed forms are public here too)
-from .records import SimulationRecord, run_loop
+from .kinematics import sampled_record
+from .kinematics import lambda_boundary, lambda_substituted  # noqa: F401  (public here too)
+from .records import SimulationRecord, constrained_solve, run_loop, solve
 
 FIDELITIES = ("literal", "consistent")
 DAMPING_MODELS = ("drag", "pointwise", "none")
@@ -63,20 +61,17 @@ class SolverOptions:
     dt: float = 1e-3
     t_end: float = 3.0
     fidelity: str = "consistent"
-    lambda_epsilon: float = 1e-8
     m: int = 6
     basis_kind: str = "orthonormal"
     panels: int = 16
     points_per_panel: int = 5
     damping_model: str = "drag"
-    constraint_gain: float = 20.0   # Baumgarte gain for displacement input, 1/s
     output_stride: int = 10
-    shape_stride: int = 10          # shape snapshot every shape_stride-th sample
     sd_nodes: int = 201
-    sd_dt: float = 2e-5
+    sd_dt: float = 2e-4
 
     def __post_init__(self):
-        for name in ("dt", "sd_dt", "t_end", "lambda_epsilon", "constraint_gain"):
+        for name in ("dt", "sd_dt", "t_end"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigurationError(f"{name} must be finite")
         if not self.dt > 0:
@@ -85,14 +80,16 @@ class SolverOptions:
             raise ConfigurationError("t_end must be non-negative")
         if self.fidelity not in FIDELITIES:
             raise ConfigurationError(f"unknown fidelity {self.fidelity!r}")
-        if not self.lambda_epsilon > 0:
-            raise ConfigurationError("lambda_epsilon must be positive")
         if self.m < 1:
             raise ConfigurationError("m must be at least 1")
+        if self.basis_kind not in BASIS_KINDS:
+            raise ConfigurationError(f"unknown basis kind {self.basis_kind!r}")
+        if self.panels < 1 or self.points_per_panel < 2:
+            raise ConfigurationError("need at least 1 panel and 2 points per panel")
         if self.damping_model not in DAMPING_MODELS:
             raise ConfigurationError(f"unknown damping model {self.damping_model!r}")
-        if self.output_stride < 1 or self.shape_stride < 1:
-            raise ConfigurationError("strides must be at least 1")
+        if self.output_stride < 1:
+            raise ConfigurationError("output_stride must be at least 1")
         if self.sd_nodes < 51:
             raise ConfigurationError("sd_nodes must be at least 51")
         if not self.sd_dt > 0:
@@ -123,14 +120,10 @@ class Assembly:
     dphi: np.ndarray         # (n, m)
     phi_L: np.ndarray        # (m,)
     dphi_L: np.ndarray       # (m,)
-    int_phi: np.ndarray      # (m,)
-    i_nodes: np.ndarray
     a_nodes: np.ndarray
-    w_nodes: np.ndarray
     ws_nodes: np.ndarray
     qx_nodes: np.ndarray
     qy_nodes: np.ndarray
-    w0: float
     wl: float
     il: float
     mass: np.ndarray         # (m, m) rho * int I Phi Phi^T
@@ -177,16 +170,14 @@ def make_assembly(model: RobotModel, basis: ModalBasis, grid: QuadratureGrid,
         damping0 = np.zeros((basis.order, basis.order))
     phi_l = basis.eval(model.length)
     dphi_l = basis.deriv(model.length)
-    int_phi = wq @ phi
     wl = model.eval_W(model.length)
     return Assembly(
         model=model, basis=basis, grid=grid, damping_model=damping_model,
-        phi=phi, dphi=dphi, phi_L=phi_l, dphi_L=dphi_l, int_phi=int_phi,
-        i_nodes=i_n, a_nodes=a_n, w_nodes=w_n, ws_nodes=ws_n,
-        qx_nodes=qx, qy_nodes=qy,
-        w0=model.eval_W(0.0), wl=wl, il=model.eval_I(model.length),
+        phi=phi, dphi=dphi, phi_L=phi_l, dphi_L=dphi_l,
+        a_nodes=a_n, ws_nodes=ws_n, qx_nodes=qx, qy_nodes=qy,
+        wl=wl, il=model.eval_I(model.length),
         mass=mass, stiffness=stiff, damping0=damping0,
-        b_literal=model.eval_W(0.0) * int_phi,
+        b_literal=model.eval_W(0.0) * (wq @ phi),
         b_consistent=wl * phi_l - phi.T @ (wq * ws_n),
         w_cable=0.5 * (wq * w_n) @ dphi,
         core=grid.bwd @ (a_n[:, None] * grid.fwd),
@@ -267,37 +258,17 @@ def _advance(state: ModalState, asm: Assembly, profile: ActuationProfile,
         lhs = lhs + dt * dt * asm.stiffness
         rhs = rhs - asm.stiffness @ (state.c + dt * state.c_t)
 
-    try:
-        if profile.mode == DISPLACEMENT and consistent:
-            # Constrained dynamics: the cable is a prescribed-displacement
-            # constraint w_cable . c = delta_l(t); solve for the multiplier
-            # that keeps the Baumgarte-stabilized acceleration-level
-            # constraint.
-            alpha = options.constraint_gain
-            w = asm.w_cable
-            target = (profile.accel(t_next)
-                      + 2.0 * alpha * (profile.rate(t_next) - w @ state.c_t)
-                      + alpha * alpha * (profile.value(t_next) - w @ state.c))
-            sol = np.linalg.solve(lhs, np.column_stack([rhs, w]))
-            denom = float(w @ sol[:, 1])
-            if abs(denom) < 1e-30:
-                raise SolverFault("degenerate cable-constraint direction")
-            lam = (target - float(w @ sol[:, 0])) / denom
-            c_tt = sol[:, 0] + lam * sol[:, 1]
-            gam = 0.5 * lam
-        else:
-            if profile.mode == FORCE:
-                gam = -0.5 * profile.value(t_next)
-            else:
-                gam = 0.5 * lambda_substituted(
-                    asm.phi_L @ state.c, asm.dphi_L @ state.c,
-                    asm.grid.integrate(asm.ws_nodes * theta), profile.value(t_next), asm,
-                    options.lambda_epsilon)
-            rhs = rhs + gam * (asm.b_literal if options.fidelity == "literal"
-                               else asm.b_consistent)
-            c_tt = np.linalg.solve(lhs, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SolverFault(f"singular system matrix: {exc}") from exc
+    if profile.mode == DISPLACEMENT:
+        if not consistent:
+            raise ConfigurationError(f"{options.fidelity} fidelity takes force input only")
+        w = asm.w_cable
+        c_tt, lam = constrained_solve(
+            lhs, rhs, w, w, (profile.value(t_next), profile.rate(t_next),
+                             profile.accel(t_next)), w @ state.c, w @ state.c_t)
+        gam = 0.5 * lam
+    else:
+        gam = -0.5 * profile.value(t_next)
+        c_tt = solve(lhs, rhs + gam * (asm.b_consistent if consistent else asm.b_literal))
 
     c_t_new = state.c_t + dt * c_tt
     c_new = state.c + dt * c_t_new
@@ -307,7 +278,8 @@ def _advance(state: ModalState, asm: Assembly, profile: ActuationProfile,
 
 def step(state: ModalState, asm: Assembly, profile: ActuationProfile,
          options: SolverOptions) -> ModalState:
-    """One semi-implicit Euler step; raises SolverFault on a non-finite result."""
+    """One semi-implicit Euler step; raises SolverFault on a non-finite result
+    and ConfigurationError on displacement input under the literal fidelity."""
     new_state, _ = _advance(state, asm, profile, options)
     if not np.all(np.isfinite(new_state.c)) or not np.all(np.isfinite(new_state.c_t)):
         raise SolverFault("non-finite modal state")
@@ -343,7 +315,7 @@ def simulate(model: RobotModel, profile: ActuationProfile, options: SolverOption
     c = np.array([st.c for st in sampled])
     c_t = np.array([st.c_t for st in sampled])
     return sampled_record(
-        asm, profile, options, t=np.array([st.t for st in sampled]), states=c, rates=c_t,
+        asm, profile, t=np.array([st.t for st in sampled]), states=c, rates=c_t,
         accels=np.array([st.c_tt_last for st in sampled]), gamma=np.array(gam),
         theta=stacked_product(asm.phi, c), theta_t=stacked_product(asm.phi, c_t),
         theta_s=stacked_product(asm.dphi, c), theta_L=stacked_product(asm.phi_L, c),

@@ -4,7 +4,8 @@ Pure functions from sampled bending-angle fields to Cartesian backbone shape,
 tendon displacement, the energy split and the closed-form cable multipliers.
 Each takes one field or a stack of fields along its last axis, so a solver's
 recorded samples are post-processed in one pass (``sampled_record``), used
-identically for modal and nodal solver states.
+identically for modal and nodal solver states.  The closed-form multipliers
+are record diagnostics only; no solver step applies them.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from .geometry import RobotModel
 from .records import SimulationRecord
 
 SHAPE_SAMPLES = 101  # uniform output grid for shapes, decoupled from assembly
+SHAPE_STRIDE = 10    # a shape row every SHAPE_STRIDE-th recorded sample
+LAMBDA_EPSILON = 1e-8  # |denominator| below which lambda_substituted falls back
 
 
 def shape_grid(length: float, samples: int = SHAPE_SAMPLES) -> np.ndarray:
@@ -123,17 +126,18 @@ def lambda_boundary(theta_s_L, plant):
     return 2.0 * e_mod * plant.il * theta_s_L / plant.wl
 
 
-def lambda_substituted(theta_L, theta_s_L, int_ws_theta, delta_l, plant, eps: float):
+def lambda_substituted(theta_L, theta_s_L, int_ws_theta, delta_l, plant):
     """Closed-form multiplier with the constraint substituted in.
 
     lambda = 2 E I(L) theta_s(L) theta(L) / (2 delta_l + int W_s theta ds),
-    regularized: near-zero denominator falls back to the boundary form, and a
-    fully rested state returns 0.  Raises SolverFault on a non-finite value.
+    regularized: a denominator below LAMBDA_EPSILON in magnitude falls back to
+    the boundary form, and a fully rested state returns 0.  Raises SolverFault
+    on a non-finite value.
     """
     den = 2.0 * delta_l + int_ws_theta
     e_mod = plant.model.material.youngs_modulus
     with np.errstate(divide="ignore", invalid="ignore"):
-        lam = np.where(np.abs(den) < eps, lambda_boundary(theta_s_L, plant),
+        lam = np.where(np.abs(den) < LAMBDA_EPSILON, lambda_boundary(theta_s_L, plant),
                        2.0 * e_mod * plant.il * theta_s_L * theta_L / den)
     lam = np.where((theta_L == 0.0) & (theta_s_L == 0.0), 0.0, lam)
     bad = ~np.isfinite(lam)
@@ -146,7 +150,7 @@ def lambda_substituted(theta_L, theta_s_L, int_ws_theta, delta_l, plant, eps: fl
 # -- one record from the recorded samples -------------------------------------
 
 
-def sampled_record(plant, profile: ActuationProfile, options, *, t, states, rates,
+def sampled_record(plant, profile: ActuationProfile, *, t, states, rates,
                    accels, gamma, theta, theta_t, theta_s, theta_L, theta_s_L,
                    diagnostic, shape_angles, **run) -> SimulationRecord:
     """Build one run's SimulationRecord from all its recorded samples at once.
@@ -167,12 +171,12 @@ def sampled_record(plant, profile: ActuationProfile, options, *, t, states, rate
     if profile.mode == DISPLACEMENT:
         lambda_post = lambda_substituted(
             d_theta_L, d_theta_s_L, grid.integrate(model.eval_W_s(grid.nodes) * d_theta),
-            command, plant, options.lambda_epsilon)
+            command, plant)
     else:
         lambda_post = np.zeros_like(t)
     energy = compute_energies(theta, theta_t, theta_s, model, grid)
-    # a shape row at every shape_stride-th sample and at the last one
-    keep = np.r_[np.arange(0, t.size - 1, options.shape_stride), t.size - 1]
+    # a shape row at every SHAPE_STRIDE-th sample and at the last one
+    keep = np.r_[np.arange(0, t.size - 1, SHAPE_STRIDE), t.size - 1]
     s_shape = shape_grid(model.length)
     shape_theta = shape_angles(states[keep], s_shape)
     return SimulationRecord(

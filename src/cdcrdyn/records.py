@@ -1,9 +1,13 @@
-"""Simulation output record and the stepping loop shared by both solvers.
+"""Simulation output record and the stepping pieces shared by both solvers.
 
 ``run_loop`` drives a solver's one-step function: it times the steps, stops a
 run at a SolverFault or at the non-convergence check, and keeps every
 stride-th step's output.  Each solver then builds its ``SimulationRecord``
 from the kept samples in one pass (``kinematics.sampled_record``).
+
+``solve`` (force input) and ``constrained_solve`` (displacement input, the
+Baumgarte-stabilized cable constraint; Baumgarte, 1972) are the acceleration
+solves of both solvers' steps.
 """
 
 from __future__ import annotations
@@ -16,6 +20,32 @@ import numpy as np
 from .errors import SolverFault
 
 NC_ANGLE_LIMIT = 1e3  # rad; beyond this a run is marked non-converged
+CONSTRAINT_GAIN = 20.0  # 1/s; Baumgarte gain of the displacement-input constraint
+
+
+def solve(lhs, rhs):
+    """np.linalg.solve, with a singular matrix raised as a SolverFault."""
+    try:
+        return np.linalg.solve(lhs, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SolverFault(f"singular system matrix: {exc}") from exc
+
+
+def constrained_solve(lhs, rhs, load, w, command, w_x, w_v):
+    """(a, lam) solving lhs a = rhs + lam load with w . a on the Baumgarte target.
+
+    ``command`` is the commanded (value, rate, accel) at the step's end;
+    ``w_x``, ``w_v`` are w . x and w . x_t at its start.
+    """
+    value, rate, accel = command
+    alpha = CONSTRAINT_GAIN
+    target = accel + 2.0 * alpha * (rate - w_v) + alpha * alpha * (value - w_x)
+    sol = solve(lhs, np.column_stack([rhs, load]))
+    denom = float(w @ sol[:, 1])
+    if abs(denom) < 1e-30:
+        raise SolverFault("degenerate cable-constraint direction")
+    lam = (target - float(w @ sol[:, 0])) / denom
+    return sol[:, 0] + lam * sol[:, 1], lam
 
 
 def divergence_reason(angles) -> str:

@@ -37,6 +37,7 @@ class Scenario:
     def __post_init__(self):
         if not self.horizon > 0:
             raise ConfigurationError("scenario horizon must be positive")
+        self.options = replace(self.options, t_end=self.horizon)  # horizon is the only t_end
 
 
 @dataclass
@@ -54,9 +55,8 @@ class SpeedupReport:
 
 
 def _scenario(sid, case, profile, horizon, base: SolverOptions | None = None) -> Scenario:
-    options = replace(base or SolverOptions(), t_end=horizon)
     return Scenario(id=sid, model=build_case_model(case), profile=profile,
-                    horizon=horizon, options=options)
+                    horizon=horizon, options=base or SolverOptions())
 
 
 def builtin_suite(base_options: SolverOptions | None = None) -> list[Scenario]:
@@ -109,11 +109,12 @@ def scenario_by_id(sid: str, base_options: SolverOptions | None = None) -> Scena
 
 
 def run_scenario(scenario: Scenario, solver: str = "galerkin") -> SimulationRecord:
-    options = replace(scenario.options, t_end=scenario.horizon)
     if solver == "galerkin":
-        return simulate(scenario.model, scenario.profile, options, scenario_id=scenario.id)
+        return simulate(scenario.model, scenario.profile, scenario.options,
+                        scenario_id=scenario.id)
     if solver == "sd":
-        return sd_simulate(scenario.model, scenario.profile, options, scenario_id=scenario.id)
+        return sd_simulate(scenario.model, scenario.profile, scenario.options,
+                           scenario_id=scenario.id)
     raise ConfigurationError(f"unknown solver {solver!r}")
 
 

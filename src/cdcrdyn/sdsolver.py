@@ -17,8 +17,9 @@ tip slope  theta_s(L) = -Delta_F W(L) / (2 E I(L))  (force input) or
 +lambda W(L) / (2 E I(L))  (displacement input).
 
 Displacement input prescribes the cable displacement as a constraint on the
-nodal field; the multiplier is solved from the constrained dynamics with
-Baumgarte stabilization, mirroring the modal solver.
+nodal field; the multiplier is solved from the constrained dynamics by the
+Baumgarte-stabilized solve the modal solver shares
+(``records.constrained_solve``).
 
 ``sd_simulate`` runs its step through the shared ``records.run_loop`` and
 builds its record with ``kinematics.sampled_record``, as the modal solver does.
@@ -36,7 +37,7 @@ from .errors import ConfigurationError, SolverFault
 from .galerkin import SolverOptions
 from .geometry import RobotModel
 from .kinematics import cumtrapz, sampled_record
-from .records import SimulationRecord, run_loop
+from .records import SimulationRecord, constrained_solve, run_loop, solve
 
 
 @dataclass
@@ -81,7 +82,6 @@ class SDWorkspace:
         self.grid = TrapezoidGrid(self.s)
         self.i_n = model.eval_I(self.s)
         self.a_n = model.eval_A(self.s)
-        self.w_n = model.eval_W(self.s)
         self.ws_n = model.eval_W_s(self.s)
         self.is_n = np.gradient(self.i_n, self.s)
         self.qx, self.qy = model.cumulative_load(self.s)
@@ -101,7 +101,6 @@ class SDWorkspace:
             fwd[k, :k + 1] = h
             fwd[k, 0] = 0.5 * h
             fwd[k, k] = 0.5 * h
-        self.fwd_mat = fwd
         self.wtr = self.grid.weights
         # state-independent cores of the nested double integrals:
         # (Bwd diag(A) Fwd) for the inertia coupling, (Bwd Fwd) for drag
@@ -147,14 +146,9 @@ class SDWorkspace:
 
     # physics pieces -----------------------------------------------------------
 
-    def coupling_apply(self, sn, cs, weight, v):
-        """Same operator applied to a known vector, O(N)."""
-        inner_s = self._fwd_v(sn * v)
-        inner_c = self._fwd_v(cs * v)
-        if weight is not None:
-            inner_s = weight * inner_s
-            inner_c = weight * inner_c
-        return sn * self._bwd_v(inner_s) + cs * self._bwd_v(inner_c)
+    def coupling_apply(self, sn, cs, v):
+        """The drag coupling operator applied to a known vector, O(N)."""
+        return sn * self._bwd_v(self._fwd_v(sn * v)) + cs * self._bwd_v(self._fwd_v(cs * v))
 
     def _lhs_core(self, dt_implicit: float):
         """Constant pieces of the acceleration-solve matrix for one dt."""
@@ -188,7 +182,7 @@ class SDWorkspace:
                  - cs * self._bwd_v(self.a_n * self._fwd_v(tt2 * sn)))
         q_vec = self.qy * cs - self.qx * sn
         if self.damping_model == "drag":
-            damp_rhs = self.c_damp * self.coupling_apply(sn, cs, None, theta_t)
+            damp_rhs = self.c_damp * self.coupling_apply(sn, cs, theta_t)
         elif self.damping_model == "pointwise":
             damp_rhs = self.c_damp * theta_t
         else:
@@ -213,10 +207,7 @@ def pde_accel(state: GridState, model: RobotModel, input_value: float, mode: str
     u = ws.u_force if mode == FORCE else ws.u_lambda
     rhs = rhs + input_value * u
     accel = np.zeros(ws.n)
-    try:
-        accel[1:] = np.linalg.solve(lhs[1:, 1:], rhs[1:])
-    except np.linalg.LinAlgError as exc:
-        raise SolverFault(f"singular system matrix: {exc}") from exc
+    accel[1:] = solve(lhs[1:, 1:], rhs[1:])
     if not np.all(np.isfinite(accel)):
         raise SolverFault("non-finite acceleration in SD solve")
     return accel
@@ -236,7 +227,6 @@ def sd_simulate(model: RobotModel, profile: ActuationProfile, options: SolverOpt
     if profile.mode == DISPLACEMENT:
         cmd_rate = np.asarray(profile.rate(t_axis), dtype=float)
         cmd_accel = np.asarray(profile.accel(t_axis), dtype=float)
-        alpha = options.constraint_gain
 
     theta = np.zeros(ws.n)
     theta_t = np.zeros(ws.n)
@@ -247,22 +237,14 @@ def sd_simulate(model: RobotModel, profile: ActuationProfile, options: SolverOpt
         nonlocal theta, theta_t
         lhs, rhs = ws.assemble(theta, theta_t, dt_implicit=dt)
         accel = np.zeros(ws.n)
-        try:
-            if profile.mode == FORCE:
-                rhs = rhs + cmd[k] * ws.u_force
-                accel[1:] = np.linalg.solve(lhs[1:, 1:], rhs[1:])
-                applied = cmd[k]
-            else:
-                target = (cmd_accel[k]
-                          + 2.0 * alpha * (cmd_rate[k] - ws.w_sd @ theta_t)
-                          + alpha * alpha * (cmd[k] - ws.w_sd @ theta))
-                sol = np.linalg.solve(lhs[1:, 1:],
-                                      np.column_stack([rhs[1:], ws.u_lambda[1:]]))
-                w1 = ws.w_sd[1:]
-                applied = (target - w1 @ sol[:, 0]) / (w1 @ sol[:, 1])
-                accel[1:] = sol[:, 0] + applied * sol[:, 1]
-        except np.linalg.LinAlgError as exc:
-            raise SolverFault(f"singular system matrix: {exc}") from exc
+        if profile.mode == FORCE:
+            rhs = rhs + cmd[k] * ws.u_force
+            accel[1:] = solve(lhs[1:, 1:], rhs[1:])
+            applied = cmd[k]
+        else:
+            accel[1:], applied = constrained_solve(
+                lhs[1:, 1:], rhs[1:], ws.u_lambda[1:], ws.w_sd[1:],
+                (cmd[k], cmd_rate[k], cmd_accel[k]), ws.w_sd @ theta, ws.w_sd @ theta_t)
         theta_t = theta_t + dt * accel
         theta = theta + dt * theta_t
         return theta, theta_t, accel, applied
@@ -275,7 +257,7 @@ def sd_simulate(model: RobotModel, profile: ActuationProfile, options: SolverOpt
     else:
         gamma, slope = 0.5 * applied, ws.slope_per_lambda * applied
     return sampled_record(
-        ws, profile, options, t=t_axis[::stride][:len(states)], states=states,
+        ws, profile, t=t_axis[::stride][:len(states)], states=states,
         rates=rates, accels=accels, gamma=gamma, theta=states, theta_t=rates,
         theta_s=np.gradient(states, ws.s, axis=-1), theta_L=states[:, -1],
         theta_s_L=slope, diagnostic=(states[:, -1], slope, states),

@@ -47,6 +47,43 @@ def test_config_error_exit_code(tmp_path):
                  "[galerkin]\ndt = inf\n", "[sd]\ndt = inf\n"):
         cfg.write_text(text)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2, text
+    # modal-only settings are checked on an SD run too, and the Baumgarte gain
+    # and the multiplier epsilon are constants, not keys; each of these texts
+    # would otherwise run a short SD run
+    for text in ("[galerkin]\npanels = 0\n", "[galerkin]\npoints_per_panel = 1\n",
+                 "[galerkin]\nbasis = foo\n", "[galerkin]\nconstraint_gain = 20.0\n",
+                 "[galerkin]\nlambda_epsilon = 1e-8\n"):
+        cfg.write_text("[run]\nhorizon = 0.01\n[sd]\nnodes = 51\n" + text)
+        assert main(["run", "--config", str(cfg), "--solver", "sd",
+                     "--out", str(tmp_path)]) == 2, text
+
+
+def test_literal_displacement_run_is_a_config_error(tmp_path, capsys):
+    code = main(["run", "--scenario", "caseA", "--fidelity", "literal",
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "force input only" in capsys.readouterr().err
+
+
+def test_suite_and_bench_honour_run_horizon(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nhorizon = 0.05\n")
+    code = main(["suite", "--config", str(cfg), "--solver", "galerkin",
+                 "--out", str(tmp_path / "out")])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    # 0.05 s at dt = 1e-3 and stride 10 keeps t = 0, 0.01, ..., 0.05
+    assert len(lines) == 15 and all(": 6 samples," in line for line in lines)
+    benched = []
+
+    def fake_benchmark(suite, repeats):
+        benched.extend(suite)
+        return cd.SpeedupReport(rows=[], mean_speedup=None)
+
+    monkeypatch.setattr(cli_mod, "run_benchmark", fake_benchmark)
+    assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "bench")]) == 0
+    assert len(benched) == 15
+    assert all(sc.horizon == sc.options.t_end == 0.05 for sc in benched)
 
 
 def test_unknown_scenario_exit_code(tmp_path):

@@ -198,12 +198,12 @@ def test_load_vector_vanishes_sideways(case1, raw1, grid):
     assert np.abs(f_q).max() < 1e-12
 
 
-def _substituted(c, delta_l, asm, options):
+def _substituted(c, delta_l, asm):
     """lambda_substituted on the fields of the modal coefficients c."""
     c = np.asarray(c, dtype=float)
     return lambda_substituted(asm.phi_L @ c, asm.dphi_L @ c,
                               asm.grid.integrate(asm.ws_nodes * (asm.phi @ c)), delta_l,
-                              asm, options.lambda_epsilon)
+                              asm)
 
 
 def test_gamma_force_mode(asm_case1, case1):
@@ -222,16 +222,14 @@ def test_gamma_displacement_constant_curvature(case1, raw1, grid):
     delta_cmd = 0.5 * W * kappa * L    # command consistent with the state
     profile = ActuationProfile.tabulated([0.0, 1.0], [delta_cmd, delta_cmd],
                                          mode=cd.DISPLACEMENT)
-    options = cd.SolverOptions(m=1, basis_kind="raw_monomial")
-    lam = _substituted(state.c, profile.value(0.0), asm, options)
+    lam = _substituted(state.c, profile.value(0.0), asm)
     assert lam == pytest.approx(2 * E * I * kappa / W, rel=1e-10)
     assert lam == pytest.approx(1.14545, rel=1e-4)
 
 
 def test_gamma_zero_state_regularized(asm_case1):
     profile = ActuationProfile.linear(0.008, mode=cd.DISPLACEMENT)
-    options = cd.SolverOptions()
-    assert _substituted(ModalState.rest(6).c, profile.value(0.0), asm_case1, options) == 0.0
+    assert _substituted(ModalState.rest(6).c, profile.value(0.0), asm_case1) == 0.0
 
 
 def test_lambda_fallback_boundary_form(case1, raw2, grid):
@@ -240,8 +238,7 @@ def test_lambda_fallback_boundary_form(case1, raw2, grid):
     a = 0.3
     state = ModalState(0.0, np.array([a, -a]), np.zeros(2), np.zeros(2))
     profile = ActuationProfile.tabulated([0.0, 1.0], [0.0, 0.0], mode=cd.DISPLACEMENT)
-    options = cd.SolverOptions(m=2, basis_kind="raw_monomial")
-    lam = _substituted(state.c, profile.value(0.0), asm, options)
+    lam = _substituted(state.c, profile.value(0.0), asm)
     theta_s_l = -a / L
     assert lam == pytest.approx(2 * E * I * theta_s_l / W, rel=1e-10)
 
@@ -383,14 +380,16 @@ def test_displacement_tracking_and_force_replay(case1):
     assert tip_err.max() <= 0.01 * case1.length
 
 
-def test_literal_fidelity_runs_but_does_not_track(case1):
-    # the closed-form multiplier feedback has no restoring structure; keep it
-    # available for study and make sure it stays a separate behavior
-    options = cd.SolverOptions(t_end=1.0, fidelity="literal")
+def test_literal_fidelity_rejects_displacement_input(case1, asm_case1):
+    # literal has no restoring term to track a displacement command
+    options = cd.SolverOptions(t_end=0.05, fidelity="literal")
     profile = ActuationProfile.linear(0.008, mode=cd.DISPLACEMENT)
-    record = cd.simulate(case1, profile, options)
-    err = np.abs(record.delta_l - record.command)
-    assert err[-1] > 0.02 * np.abs(record.command).max()
+    with pytest.raises(cd.ConfigurationError, match="force input only"):
+        cd.simulate(case1, profile, options)
+    with pytest.raises(cd.ConfigurationError, match="force input only"):
+        cd.step(ModalState.rest(6), asm_case1, profile, options)
+    # the same input under the consistent fidelity steps
+    cd.step(ModalState.rest(6), asm_case1, profile, cd.SolverOptions())
 
 
 def test_nc_detection_on_blowup(case1):
@@ -410,12 +409,11 @@ def test_nc_reason_on_blowup(case1):
     assert converged.ok and converged.nc_reason == ""
 
 
-@pytest.mark.parametrize("fidelity", ["consistent", "literal"])
-def test_diagnostics_at_samples_match_step_loop(case1, fidelity):
+def test_diagnostics_at_samples_match_step_loop(case1):
     # lambda_pre/lambda_post are evaluated on the state each recorded step
     # started from, with the command at the step's end; the states themselves
     # are those of a plain step() loop
-    options = cd.SolverOptions(t_end=0.03, output_stride=1, fidelity=fidelity)
+    options = cd.SolverOptions(t_end=0.03, output_stride=1)
     profile = ActuationProfile.linear(0.008, mode=cd.DISPLACEMENT)
     asm = cd.make_assembly(case1, cd.ModalBasis(options.m, case1.length),
                            cd.make_quadrature(options.panels, options.points_per_panel,
@@ -433,7 +431,7 @@ def test_diagnostics_at_samples_match_step_loop(case1, fidelity):
         assert record.lambda_post[k] == lambda_substituted(
             float(asm.phi_L @ prev.c), float(asm.dphi_L @ prev.c),
             float(asm.grid.integrate(asm.ws_nodes * theta)), profile.value(record.t[k]),
-            asm, options.lambda_epsilon)
+            asm)
     assert np.any(record.lambda_post[1:] != 0.0)
 
 

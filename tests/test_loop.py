@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import cdcrdyn as cd
 from cdcrdyn.actuation import ActuationProfile
+from cdcrdyn.kinematics import SHAPE_STRIDE
 
 SOLVERS = ("galerkin", "sd")
 HORIZON = 0.05
@@ -27,7 +28,7 @@ def test_shape_rows_end_at_last_sample(case1, solver):
     options = cd.SolverOptions(t_end=1.0, sd_nodes=61, sd_dt=1e-3)
     record = _run(solver, case1, ActuationProfile.linear(3000.0), options)
     assert record.nc_reason.startswith("angle limit exceeded")
-    assert (record.t.size - 1) % options.shape_stride != 0
+    assert (record.t.size - 1) % SHAPE_STRIDE != 0
     assert record.shape_t[-1] == record.t[-1]
 
 
