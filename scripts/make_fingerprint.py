@@ -11,6 +11,12 @@ channel's largest magnitude.  The runs:
   modal orders 4-10 (the runs the ``sweep_io`` benchmark workload makes);
 * three builtins on the SD solver (N = 51, sd_dt = 2e-4, 0.5 s).
 
+``literal/case2_step`` is unstable: its shape angles grow to tens of radians
+within the 0.3 s, and it amplifies round-off by ~1e8.  A change that only
+reorders floating-point operations (reassociating a matrix product) moves
+its channels by ~1e-8 of their size, past the tolerance, while every other
+run stays within ~1e-11; such a change regenerates the file too.
+
 Every record channel is kept at every 10th sample and at the last one; shape
 channels at every 10th shape row and arc-length point, and the last of each.  A change that moves the
 numerics on purpose regenerates the file and reports the measured shift.

@@ -7,8 +7,15 @@ f_Q and the actuation load, then solves one small dense system for the modal
 acceleration and advances with semi-implicit Euler (velocity first).  All
 nested double integrals run as one forward plus one backward cumulative pass
 over the quadrature grid; the Assembly folds them, with the cross-section
-area between them, into one n x n operator, so the state-dependent part of a
-step is one product with an n x (2m + 2) block plus an m x m solve.
+area between them, into one n x n operator ``core``.
+
+``assemble_state_fields`` is the reference assembly of K, h, f_Q and the
+damping matrix (``assemble_K/h/fQ`` read it).  Steps run through a
+``Stepper`` instead, built on first use for each (dt, fidelity) and cached on
+the Assembly: it precomputes H = rho core^T W + dt c F^T W F and the constant
+part of the step matrix, so a step is a few fused products and one m x m
+solve, with the same system up to round-off.  The fidelity and the damping
+model are fixed when the Stepper is built, not branched on per step.
 
 Two assembly fidelities are provided:
 
@@ -30,14 +37,15 @@ the Baumgarte-stabilized KKT solve the SD solver shares
 (``kinematics.lambda_boundary``/``lambda_substituted``) are diagnostics the
 record pass evaluates on the state each recorded step started from.
 
-``simulate`` drives ``_advance`` through the shared ``records.run_loop`` and
-builds its record with ``kinematics.sampled_record``, as the SD solver does.
+``simulate`` and ``step`` go through the same cached Stepper; ``simulate``
+drives it through the shared ``records.run_loop`` and builds its record with
+``kinematics.sampled_record``, as the SD solver does.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -133,6 +141,7 @@ class Assembly:
     b_consistent: np.ndarray  # (m,) W(L) Phi(L) - int W_s Phi
     w_cable: np.ndarray      # (m,) d(delta_l)/dc = (1/2) int W Phi_s
     core: np.ndarray         # (n, n) bwd diag(A) fwd: int_s^L A(xi) int_0^xi . dxi
+    steppers: dict = field(default_factory=dict, init=False, repr=False)  # (dt, fidelity)
 
 
 def assemble_mass(model: RobotModel, basis: ModalBasis, grid: QuadratureGrid) -> np.ndarray:
@@ -244,36 +253,101 @@ def assemble_fQ(c, asm: Assembly) -> np.ndarray:
 # -- stepping ----------------------------------------------------------------
 
 
+class Stepper:
+    """The step of one (Assembly, dt, fidelity), its fixed pieces built once.
+
+    With X = [Phi sin(theta) | Phi cos(theta)], W = diag(grid weights) and
+    F = ``grid.fwd``, the step matrix M + rho K + dt D (+ dt^2 S) is ``lhs0``
+    plus the sum of the two diagonal m x m blocks of X^T H X, where
+        H    = rho core^T W + dt c F^T W F   (the F^T W F term for drag only),
+        lhs0 = M + dt^2 S + dt C0            (S if consistent, C0 if pointwise).
+    The fidelity fixes S and the actuation vector; the damping model fixes H,
+    C0 and whether the drag product D c_t is formed.  ``system`` gives the
+    (lhs, rhs) that ``assemble_state_fields`` and the step algebra give, up to
+    round-off.
+    """
+
+    def __init__(self, asm: Assembly, dt: float, fidelity: str):
+        wq = asm.grid.weights
+        rho = asm.model.material.density
+        c_damp = asm.model.material.damping_coeff
+        self.dt, self.fidelity = dt, fidelity
+        self.consistent = fidelity == "consistent"
+        self.phi, self.core, self.w_cable = asm.phi, asm.core, asm.w_cable
+        self.load = asm.b_consistent if self.consistent else asm.b_literal
+        stiffness = asm.stiffness if self.consistent else np.zeros_like(asm.stiffness)
+        self.lhs0 = asm.mass + dt * dt * stiffness + dt * asm.damping0
+        # the rhs terms linear in the state, S (c + dt c_t) + C0 c_t, on [c; c_t]
+        linear = np.hstack([stiffness, dt * stiffness + asm.damping0])
+        self.linear = linear if linear.any() else None
+        self.h = asm.core.T * (rho * wq)
+        self.drag = asm.damping_model == "drag"
+        if self.drag:   # F^T W F is added to H, not kept
+            fwd = asm.grid.fwd
+            self.h += fwd.T @ ((dt * c_damp * wq)[:, None] * fwd)
+            self.fwd, self.c_w = fwd, (c_damp * wq)[:, None]
+        # the rhs field on [sin | cos] is [-(q_x + rho j_0), q_y + rho j_1] W
+        self.rho_w = np.column_stack([-rho * wq, rho * wq])
+        self.q_w = np.column_stack([-wq * asm.qx_nodes, wq * asm.qy_nodes])
+        self._phi3 = asm.phi[:, None, :]
+
+    def system(self, c, c_t):
+        """(lhs, rhs) of the acceleration solve, before the actuation load."""
+        n, m = self.phi.shape
+        theta = self.phi @ c
+        theta_t = self.phi @ c_t
+        sc = np.empty((n, 2))                          # [sin | cos] of theta
+        np.sin(theta, out=sc[:, 0])
+        np.cos(theta, out=sc[:, 1])
+        x = self._phi3 * sc[:, :, None]                # X as (n, 2, m)
+        hx = self.h @ x.reshape(n, 2 * m)
+        # as (2n, m), the rows pair each X block with its H X block
+        x2 = x.reshape(2 * n, m)
+        lhs = self.lhs0 + x2.T @ hx.reshape(2 * n, m)
+        u = sc * theta_t[:, None]                      # theta_t [sin | cos]
+        fld = self.core @ (u[:, ::-1] * theta_t[:, None])
+        fld *= self.rho_w
+        fld += self.q_w
+        if self.drag:   # D c_t = c X^T F^T W F [theta_t sin | theta_t cos], blocks summed
+            fld -= self.fwd.T @ (self.c_w * (self.fwd @ u))
+        rhs = x2.T @ fld.reshape(-1)
+        if self.linear is not None:
+            rhs -= self.linear @ np.concatenate((c, c_t))
+        return lhs, rhs
+
+    def advance(self, state: ModalState, profile: ActuationProfile):
+        """The next state and the applied boundary coefficient gamma."""
+        lhs, rhs = self.system(state.c, state.c_t)
+        dt = self.dt
+        t_next = state.t + dt
+        if profile.mode == DISPLACEMENT:
+            if not self.consistent:
+                raise ConfigurationError(f"{self.fidelity} fidelity takes force input only")
+            w = self.w_cable
+            c_tt, lam = constrained_solve(
+                lhs, rhs, w, w, (profile.value(t_next), profile.rate(t_next),
+                                 profile.accel(t_next)), w @ state.c, w @ state.c_t)
+            gam = 0.5 * lam
+        else:
+            gam = -0.5 * profile.value(t_next)
+            c_tt = solve(lhs, rhs + gam * self.load)
+        c_t_new = state.c_t + dt * c_tt
+        c_new = state.c + dt * c_t_new
+        return ModalState(t=t_next, c=c_new, c_t=c_t_new, c_tt_last=c_tt), gam
+
+
+def stepper(asm: Assembly, dt: float, fidelity: str) -> Stepper:
+    """The Assembly's cached Stepper for (dt, fidelity), built on first use."""
+    key = (float(dt), fidelity)
+    hit = asm.steppers.get(key)
+    if hit is None:
+        hit = asm.steppers[key] = Stepper(asm, *key)
+    return hit
+
+
 def _advance(state: ModalState, asm: Assembly, profile: ActuationProfile,
              options: SolverOptions):
-    dt = options.dt
-    t_next = state.t + dt
-    theta, theta_t = _fields(state.c, state.c_t, asm)
-    coupling, coriolis, f_q, damping = assemble_state_fields(theta, theta_t, asm)
-    rho = asm.model.material.density
-    lhs = asm.mass + rho * coupling + dt * damping
-    rhs = f_q - rho * coriolis - damping @ state.c_t
-    consistent = options.fidelity == "consistent"
-    if consistent:
-        lhs = lhs + dt * dt * asm.stiffness
-        rhs = rhs - asm.stiffness @ (state.c + dt * state.c_t)
-
-    if profile.mode == DISPLACEMENT:
-        if not consistent:
-            raise ConfigurationError(f"{options.fidelity} fidelity takes force input only")
-        w = asm.w_cable
-        c_tt, lam = constrained_solve(
-            lhs, rhs, w, w, (profile.value(t_next), profile.rate(t_next),
-                             profile.accel(t_next)), w @ state.c, w @ state.c_t)
-        gam = 0.5 * lam
-    else:
-        gam = -0.5 * profile.value(t_next)
-        c_tt = solve(lhs, rhs + gam * (asm.b_consistent if consistent else asm.b_literal))
-
-    c_t_new = state.c_t + dt * c_tt
-    c_new = state.c + dt * c_t_new
-    new_state = ModalState(t=t_next, c=c_new, c_t=c_t_new, c_tt_last=c_tt)
-    return new_state, gam
+    return stepper(asm, options.dt, options.fidelity).advance(state, profile)
 
 
 def step(state: ModalState, asm: Assembly, profile: ActuationProfile,
@@ -281,7 +355,10 @@ def step(state: ModalState, asm: Assembly, profile: ActuationProfile,
     """One semi-implicit Euler step; raises SolverFault on a non-finite result
     and ConfigurationError on displacement input under the literal fidelity."""
     new_state, _ = _advance(state, asm, profile, options)
-    if not np.all(np.isfinite(new_state.c)) or not np.all(np.isfinite(new_state.c_t)):
+    c, c_t = new_state.c, new_state.c_t
+    # any inf or nan entry makes c . c_t non-finite; only an overflow of finite
+    # entries needs the entry-wise check
+    if not math.isfinite(c @ c_t) and not (np.isfinite(c).all() and np.isfinite(c_t).all()):
         raise SolverFault("non-finite modal state")
     return new_state
 
@@ -301,10 +378,12 @@ def simulate(model: RobotModel, profile: ActuationProfile, options: SolverOption
     # sample 0: the rest state, its own diagnostic state, the t = 0 coefficient
     first = (state.c, state, -0.5 * profile.value(0.0) if profile.mode == FORCE else 0.0)
 
+    advance_one = stepper(asm, options.dt, options.fidelity).advance
+
     def advance(k):
         nonlocal state
         prev = state
-        state, gam = _advance(prev, asm, profile, options)
+        state, gam = advance_one(prev, profile)
         return prev.c, state, gam
 
     kept, compute_seconds, nc_step, nc_reason = run_loop(

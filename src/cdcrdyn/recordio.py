@@ -187,13 +187,15 @@ def write_benchmark_csv(report: SpeedupReport, path: str) -> None:
 
 
 def format_benchmark_table(report: SpeedupReport) -> str:
-    """Aligned plain-text timing table (SD and modal rows per scenario)."""
+    """Aligned plain-text timing table (SD and modal rows per scenario); a
+    non-converged row names, after its NC cells, the solver and why it stopped."""
     header = f"{'Scenario':<16}{'SD [s]':>12}{'Galerkin [s]':>14}{'Speedup':>10}"
     rule = "-" * len(header)
     lines = [header, rule]
     for row in report.rows:
         if row.speedup is None:
-            lines.append(f"{row.scenario_id:<16}{'NC':>12}{'NC':>14}{'NC':>10}")
+            reason = f"  {row.reason}" if row.reason else ""
+            lines.append(f"{row.scenario_id:<16}{'NC':>12}{'NC':>14}{'NC':>10}{reason}")
         else:
             lines.append(f"{row.scenario_id:<16}{row.t_ref:>12.4f}"
                          f"{row.t_test:>14.4f}{row.speedup:>10.4f}")

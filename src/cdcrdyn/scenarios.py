@@ -37,6 +37,8 @@ class Scenario:
     def __post_init__(self):
         if not self.horizon > 0:
             raise ConfigurationError("scenario horizon must be positive")
+        if self.options.fidelity == "literal" and self.profile.mode == DISPLACEMENT:
+            raise ConfigurationError("literal fidelity takes force input only")
         self.options = replace(self.options, t_end=self.horizon)  # horizon is the only t_end
 
 
@@ -46,6 +48,7 @@ class ScenarioTiming:
     t_ref: float | None       # SD wall-clock (None if non-converged)
     t_test: float | None      # Galerkin wall-clock
     speedup: float | None
+    reason: str = ""          # why a non-converged scenario stopped
 
 
 @dataclass
@@ -170,9 +173,10 @@ def run_benchmark(suite: list[Scenario], repeats: int = 3) -> SpeedupReport:
     """Median-of-repeats wall-clock comparison, Galerkin versus SD.
 
     The first repeat is discarded as warmup.  A diverged run marks the
-    scenario as non-converged and excludes it from the mean.  Scenarios run
-    sequentially; timing comes from each record's own compute clock, which
-    excludes I/O and record handling.
+    scenario as non-converged, keeps why it stopped on the row's ``reason``
+    and excludes it from the mean.  Scenarios run sequentially; timing comes
+    from each record's own compute clock, which excludes I/O and record
+    handling.
     """
     if repeats < 3:
         raise ConfigurationError("benchmark needs at least 3 repeats")
@@ -180,24 +184,24 @@ def run_benchmark(suite: list[Scenario], repeats: int = 3) -> SpeedupReport:
     speedups = []
     for scenario in suite:
         medians = {}
-        failed = False
+        reason = ""
         for solver in ("sd", "galerkin"):
             times = []
             for _ in range(repeats):
                 try:
                     rec = run_scenario(scenario, solver)
-                except SolverFault:
-                    failed = True
+                except SolverFault as fault:
+                    reason = f"{solver}: {fault}"
                     break
                 if not rec.ok:
-                    failed = True
+                    reason = f"{solver}: step {rec.nc_step}: {rec.nc_reason}"
                     break
                 times.append(rec.compute_seconds)
-            if failed:
+            if reason:
                 break
             medians[solver] = float(np.median(times[1:]))
-        if failed:
-            rows.append(ScenarioTiming(scenario.id, None, None, None))
+        if reason:
+            rows.append(ScenarioTiming(scenario.id, None, None, None, reason))
             continue
         gain = speedup(medians["sd"], medians["galerkin"])
         rows.append(ScenarioTiming(scenario.id, medians["sd"], medians["galerkin"], gain))

@@ -65,6 +65,16 @@ def test_literal_displacement_run_is_a_config_error(tmp_path, capsys):
     assert "force input only" in capsys.readouterr().err
 
 
+def test_literal_displacement_sd_run_is_a_config_error(tmp_path, capsys):
+    # the scenario rejects the pair, so the SD solver, which has no fidelity, never runs
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nhorizon = 0.05\n[sd]\nnodes = 51\n")
+    code = main(["run", "--config", str(cfg), "--scenario", "caseA", "--solver", "sd",
+                 "--fidelity", "literal", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "force input only" in capsys.readouterr().err
+
+
 def test_suite_and_bench_honour_run_horizon(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[run]\nhorizon = 0.05\n")

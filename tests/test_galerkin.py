@@ -6,7 +6,8 @@ import pytest
 import cdcrdyn as cd
 from cdcrdyn.actuation import ActuationProfile
 from cdcrdyn.galerkin import (ModalState, _advance, assemble_state_fields,
-                              lambda_boundary, lambda_substituted)
+                              lambda_boundary, lambda_substituted, stepper)
+from cdcrdyn.records import constrained_solve
 
 TWO_PI = 2 * math.pi
 L, E, I, A, W = 0.4, 2e9, 1.26e-11, 1.26e-5, 0.11
@@ -166,6 +167,80 @@ def test_fused_state_fields_match_reference(case_id, m, damping_model, rng):
         for got, ref in zip(fused, _reference_state_fields(theta, theta_t, asm)):
             assert got.shape == ref.shape
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def _reference_system(c, c_t, asm, dt, fidelity):
+    # assemble_state_fields with the step algebra, term by term
+    theta, theta_t = asm.phi @ c, asm.phi @ c_t
+    coupling, coriolis, f_q, damping = assemble_state_fields(theta, theta_t, asm)
+    rho = asm.model.material.density
+    lhs = asm.mass + rho * coupling + dt * damping
+    rhs = f_q - rho * coriolis - damping @ c_t
+    if fidelity == "consistent":
+        lhs = lhs + dt * dt * asm.stiffness
+        rhs = rhs - asm.stiffness @ (c + dt * c_t)
+    return lhs, rhs
+
+
+@pytest.mark.parametrize("case_id", ["case1", "case2", "case3", "case4"])
+@pytest.mark.parametrize("m", [1, 6, 10])
+@pytest.mark.parametrize("damping_model", ["drag", "pointwise", "none"])
+@pytest.mark.parametrize("fidelity", ["consistent", "literal"])
+@pytest.mark.parametrize("mode", [cd.FORCE, cd.DISPLACEMENT])
+def test_stepper_matches_reference(case_id, m, damping_model, fidelity, mode, rng):
+    model = cd.build_case_model(case_id)
+    asm = cd.make_assembly(model, cd.ModalBasis(m, model.length),
+                           cd.make_quadrature(16, 5, model.length), damping_model)
+    dt = 1e-3
+    stp = stepper(asm, dt, fidelity)
+    profile = (ActuationProfile.offset_sinusoid(2.0, 0.5, TWO_PI, 0.3) if mode == cd.FORCE
+               else ActuationProfile.linear(0.008, 0.001, mode=cd.DISPLACEMENT))
+    for _ in range(3):
+        state = ModalState(0.25, rng.normal(0.0, 1.0, m), rng.normal(0.0, 5.0, m), np.zeros(m))
+        lhs_ref, rhs_ref = _reference_system(state.c, state.c_t, asm, dt, fidelity)
+        for got, ref in zip(stp.system(state.c, state.c_t), (lhs_ref, rhs_ref)):
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        if mode == cd.DISPLACEMENT and fidelity == "literal":
+            with pytest.raises(cd.ConfigurationError, match="force input only"):
+                stp.advance(state, profile)
+            continue
+        new, gam = stp.advance(state, profile)
+        t = state.t + dt
+        if mode == cd.FORCE:
+            assert gam == -0.5 * profile.value(t)
+            load = asm.b_consistent if fidelity == "consistent" else asm.b_literal
+            c_tt = np.linalg.solve(lhs_ref, rhs_ref + gam * load)
+        else:
+            w = asm.w_cable
+            c_tt, lam = constrained_solve(
+                lhs_ref, rhs_ref, w, w, (profile.value(t), profile.rate(t), profile.accel(t)),
+                w @ state.c, w @ state.c_t)
+            assert gam == pytest.approx(0.5 * lam, rel=1e-9)
+        assert new.t == t
+        assert np.abs(new.c_tt_last - c_tt).max() <= 1e-9 * np.abs(c_tt).max()
+        assert np.array_equal(new.c_t, state.c_t + dt * new.c_tt_last)
+        assert np.array_equal(new.c, state.c + dt * new.c_t)
+
+
+def test_stepper_cache_per_dt_and_fidelity(case1, basis6, grid):
+    # the steppers are built on first use, one per (dt, fidelity), and one
+    # Assembly stepped at two dt values matches two fresh Assemblies
+    shared = cd.make_assembly(case1, basis6, grid)
+    assert shared.steppers == {}
+    profile = ActuationProfile.step(3.0)
+    runs = {dt: (cd.SolverOptions(dt=dt), cd.make_assembly(case1, basis6, grid),
+                 ModalState.rest(6), ModalState.rest(6)) for dt in (1e-3, 2.5e-4)}
+    for _ in range(20):
+        for dt, (options, fresh, a, b) in runs.items():
+            a = cd.step(a, shared, profile, options)
+            b = cd.step(b, fresh, profile, options)
+            assert np.array_equal(a.c, b.c) and np.array_equal(a.c_t, b.c_t)
+            runs[dt] = (options, fresh, a, b)
+    assert sorted(shared.steppers) == [(2.5e-4, "consistent"), (1e-3, "consistent")]
+    assert stepper(shared, 1e-3, "consistent") is shared.steppers[(1e-3, "consistent")]
+    stepper(shared, 1e-3, "literal")
+    assert len(shared.steppers) == 3
 
 
 def test_coriolis_zero_at_rest(asm_raw2):

@@ -6,7 +6,7 @@ import pytest
 import cdcrdyn as cd
 from cdcrdyn.actuation import ActuationProfile
 from cdcrdyn.errors import ConfigurationError
-from cdcrdyn.scenarios import Scenario, run_benchmark
+from cdcrdyn.scenarios import Scenario, run_benchmark, run_scenario
 
 TWO_PI = 2 * math.pi
 
@@ -164,6 +164,38 @@ def test_benchmark_marks_nc():
     report = run_benchmark([bad], repeats=3)
     assert report.rows[0].speedup is None
     assert report.mean_speedup is None
+
+
+def test_benchmark_keeps_nc_reason(tmp_path, monkeypatch):
+    bad = _quick_scenario(sid="diverges", height=1e9, t_end=0.02)
+    report = run_benchmark([bad], repeats=3)
+    row = report.rows[0]
+    assert row.speedup is None
+    assert row.reason.startswith("sd: step 1: angle limit exceeded")
+    table = cd.format_benchmark_table(report)
+    assert f"NC  {row.reason}" in table
+    # the CSV columns do not carry the reason
+    path = tmp_path / "bench.csv"
+    cd.write_benchmark_csv(report, str(path))
+    assert path.read_text() == "scenario,t_sd,t_galerkin,speedup\ndiverges,NC,NC,NC\n"
+
+    def faulty(scenario, solver):
+        if solver == "galerkin":
+            raise cd.SolverFault("singular system matrix: test")
+        return run_scenario(scenario, solver)
+
+    monkeypatch.setattr("cdcrdyn.scenarios.run_scenario", faulty)
+    row = run_benchmark([_quick_scenario()], repeats=3).rows[0]
+    assert row.speedup is None
+    assert row.reason == "galerkin: singular system matrix: test"
+
+
+def test_literal_displacement_scenario_is_a_config_error():
+    options = cd.SolverOptions(fidelity="literal")
+    with pytest.raises(ConfigurationError, match="force input only"):
+        Scenario(id="x", model=cd.build_case_model("case1"),
+                 profile=ActuationProfile.linear(0.008, mode=cd.DISPLACEMENT),
+                 horizon=0.05, options=options)
 
 
 def test_benchmark_needs_three_repeats():
