@@ -1,9 +1,20 @@
 """Modal basis functions and the quadrature machinery behind every assembly.
 
 The basis spans polynomials (s/L)^1 .. (s/L)^m, so every basis function
-vanishes at the clamped end s = 0.  The orthonormal kind applies Gram-Schmidt
-in exact rational arithmetic (the raw monomial Gram matrix is Hilbert-like and
-float orthogonalization would lose most digits by m = 8).
+vanishes at the clamped end s = 0.  The orthonormal kind is built in exact
+rational arithmetic (the raw monomial Gram matrix is Hilbert-like and float
+orthogonalization would lose most digits by m = 8).  With x = s/L its rows
+are the Gram-Schmidt orthogonalization of x^1..x^m on [0, 1], i.e. the rows
+of L^-1 in the LDL^T factorization G = L D L^T of the Gram matrix
+G_ij = <x^(i+1), x^(j+1)> = 1/(i+j+3), with D their squared norms.  Both
+are unique, so they are taken in closed form: writing the n-th row as
+x q_n(x), q_n is the monic shifted Jacobi polynomial P_n^(0,2)(2x - 1),
+orthogonal under the weight x^2, with coefficients and norms given by
+factorials.  That costs O(m^2) rationals against O(m^4) for classical
+Gram-Schmidt, and the conversion to Legendre coefficients runs in O(m^3)
+integer operations over common denominators; float values are the correctly
+rounded quotients, so every coefficient equals the Gram-Schmidt one bit for
+bit.
 
 Quadrature is composite Gauss-Legendre.  Besides plain integration the grid
 provides forward and backward cumulative operators: matrices F and B with
@@ -27,42 +38,21 @@ from .errors import ConfigurationError, DomainError
 BASIS_KINDS = ("raw_monomial", "orthonormal")
 
 
-def _inner_unit(a, b):
-    """Exact <p, q> on [0, 1] for coefficient lists over x^1..x^m."""
-    acc = Fraction(0)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            if bj == 0:
-                continue
-            acc += ai * bj * Fraction(1, i + j + 3)
-    return acc
-
-
 def _orthogonal_rows(m: int):
-    """Unnormalized Gram-Schmidt rows over {x^1..x^m}, exact rationals."""
-    ortho = []
-    for j in range(m):
-        v = [Fraction(0)] * m
-        v[j] = Fraction(1)
-        for u in ortho:
-            coef = _inner_unit(v, u) / _inner_unit(u, u)
-            v = [a - coef * b for a, b in zip(v, u)]
-        ortho.append(v)
-    return ortho
+    """Gram-Schmidt rows over {x^1..x^m} and their squared norms, exact rationals.
 
-
-def _shifted_legendre_table(max_power: int):
-    """a[n][k]: exact shifted-Legendre coefficients of x^n on [0, 1]."""
-    table = []
-    for n in range(max_power + 1):
-        fact_n2 = Fraction(math.factorial(n)) ** 2
-        row = [Fraction(2 * k + 1) * fact_n2
-               / (math.factorial(n - k) * math.factorial(n + k + 1))
-               for k in range(n + 1)]
-        table.append(row)
-    return table
+    Row n is monic in x^(n+1) and holds x q_n(x), q_n(x) = P_n^(0,2)(2x - 1)
+    scaled to be monic: the rows of L^-1 and the diagonal D in G = L D L^T.
+    """
+    f = math.factorial
+    rows, norms = [], []
+    for n in range(m):
+        den = f(2 * n + 2)
+        rows.append([Fraction((-1) ** (n - k) * math.comb(n, k) * f(n + k + 2) * f(n + 2),
+                              f(k + 2) * den) for k in range(n + 1)]
+                    + [Fraction(0)] * (m - n - 1))
+        norms.append(Fraction((f(n) * f(n + 2)) ** 2, (2 * n + 3) * den ** 2))
+    return rows, norms
 
 
 def _legendre_rows(mono_rows, scales):
@@ -70,19 +60,28 @@ def _legendre_rows(mono_rows, scales):
 
     Rounding ill-conditioned monomial coefficients to float costs ~1e-10 of
     orthogonality at m = 10; the Legendre representation keeps coefficients
-    O(1), so conversion must happen before leaving exact arithmetic.
+    O(1), so conversion must happen before leaving exact arithmetic.  The
+    shifted-Legendre coefficients of x^n on [0, 1],
+    (2k+1) n!^2 / ((n-k)! (n+k+1)!), are integers over (2m-1)!; with each row
+    on its own common denominator the sums are integer, and every entry is
+    the correctly rounded quotient, as float() of the reduced fraction is.
     """
     m = len(mono_rows)
-    table = _shifted_legendre_table(m - 1) if m else []
+    f = math.factorial
+    top = f(2 * m - 1)
+    table = [[(2 * k + 1) * f(n) ** 2 * top // (f(n - k) * f(n + k + 1))
+              for k in range(n + 1)] for n in range(m)]
     out = np.zeros((m, m))
     for j, row in enumerate(mono_rows):
-        acc = [Fraction(0)] * m
+        den = math.lcm(*(c.denominator for c in row))
+        acc = [0] * m
         for n, c in enumerate(row):
             if c == 0:
                 continue
+            num = c.numerator * (den // c.denominator)
             for k, a in enumerate(table[n]):
-                acc[k] += c * a
-        out[j] = [float(v) for v in acc]
+                acc[k] += num * a
+        out[j] = [v / (den * top) for v in acc]
         out[j] *= scales[j]
     return out
 
@@ -106,16 +105,13 @@ class ModalBasis:
         self.length = length
         self.kind = kind
         if kind == "raw_monomial":
-            rows = [[Fraction(1) if k == j else Fraction(0) for k in range(order)]
-                    for j in range(order)]
+            rows = [[Fraction(int(k == j)) for k in range(order)] for j in range(order)]
             scales = np.ones(order)
             self.coeffs = np.eye(order)
         else:
-            exact = _orthogonal_rows(order)
-            scales = np.array([1.0 / math.sqrt(float(_inner_unit(u, u)) * length)
-                               for u in exact])
-            rows = exact
-            self.coeffs = np.array([[float(c) for c in u] for u in exact]) * scales[:, None]
+            rows, norms = _orthogonal_rows(order)
+            scales = np.array([1.0 / math.sqrt(float(d) * length) for d in norms])
+            self.coeffs = np.array([[float(c) for c in u] for u in rows]) * scales[:, None]
         # q_j = phi_j / x lives over x^0..x^{m-1}: same coefficient rows
         self._legq = _legendre_rows(rows, scales).T     # (deg+1, m) for legval
         self._legq_d = (np.polynomial.legendre.legder(self._legq, axis=0)
@@ -128,25 +124,27 @@ class ModalBasis:
             raise DomainError(f"arc length outside [0, {self.length}]")
         return s
 
-    def _q_and_deriv(self, x):
-        u = 2.0 * x - 1.0
-        q = np.moveaxis(np.polynomial.legendre.legval(u, self._legq, tensor=True), 0, -1)
-        dq = np.moveaxis(np.polynomial.legendre.legval(u, self._legq_d, tensor=True), 0, -1)
-        return q, 2.0 * dq    # d/dx via u = 2x - 1
+    def _legval(self, u, coef):
+        return np.moveaxis(np.polynomial.legendre.legval(u, coef, tensor=True), 0, -1)
 
     def eval(self, s):
         """Basis values; shape (..., m)."""
         s = self._check(s)
         x = s / self.length
-        q, _ = self._q_and_deriv(x)
-        return x[..., None] * q
+        return x[..., None] * self._legval(2.0 * x - 1.0, self._legq)
 
     def deriv(self, s):
         """Spatial derivatives d(phi_j)/ds; shape (..., m)."""
+        return self.eval_and_deriv(s)[1]
+
+    def eval_and_deriv(self, s):
+        """Basis values and their derivatives from one evaluation of q and dq/dx."""
         s = self._check(s)
         x = s / self.length
-        q, dq = self._q_and_deriv(x)
-        return (q + x[..., None] * dq) / self.length
+        u = 2.0 * x - 1.0
+        q = self._legval(u, self._legq)
+        dq = 2.0 * self._legval(u, self._legq_d)      # d/dx via u = 2x - 1
+        return x[..., None] * q, (q + x[..., None] * dq) / self.length
 
 
 def stacked_product(op, f):
@@ -198,18 +196,14 @@ def make_quadrature(panels: int, points_per_panel: int, length: float) -> Quadra
     part = _partial_panel_matrix(x)
     width = length / panels
     half = 0.5 * width
-    n = panels * points_per_panel
-    nodes = np.empty(n)
-    weights = np.empty(n)
-    fwd = np.zeros((n, n))
     panel_w = half * wref
-    for p in range(panels):
-        rows = slice(p * points_per_panel, (p + 1) * points_per_panel)
-        nodes[rows] = p * width + half * (x + 1.0)
-        weights[rows] = panel_w
-        for q in range(p):
-            fwd[rows, q * points_per_panel:(q + 1) * points_per_panel] = panel_w
-        fwd[rows, rows] = half * part
+    nodes = (np.arange(panels)[:, None] * width + half * (x + 1.0)).ravel()
+    weights = np.tile(panel_w, panels)
+    panel = np.repeat(np.arange(panels), points_per_panel)
+    # whole earlier panels, then the partial integral within the node's own panel
+    fwd = np.where(panel[:, None] > panel, weights, 0.0)
+    own = np.arange(panels)
+    fwd.reshape(panels, points_per_panel, panels, points_per_panel)[own, :, own, :] = half * part
     bwd = weights[None, :] - fwd
     return QuadratureGrid(length=length, panels=panels,
                           points_per_panel=points_per_panel,

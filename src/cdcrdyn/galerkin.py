@@ -144,16 +144,19 @@ class Assembly:
     steppers: dict = field(default_factory=dict, init=False, repr=False)  # (dt, fidelity)
 
 
-def assemble_mass(model: RobotModel, basis: ModalBasis, grid: QuadratureGrid) -> np.ndarray:
-    """Rotational mass matrix rho * int I(s) Phi Phi^T ds."""
-    phi = basis.eval(grid.nodes)
-    i_n = model.eval_I(grid.nodes)
-    m = model.material.density * phi.T @ (grid.weights[:, None] * i_n[:, None] * phi)
+def _mass_matrix(rho, weights, i_n, phi) -> np.ndarray:
+    m = rho * phi.T @ (weights[:, None] * i_n[:, None] * phi)
     try:
         np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
         raise ConfigurationError("mass matrix is not positive definite") from exc
     return m
+
+
+def assemble_mass(model: RobotModel, basis: ModalBasis, grid: QuadratureGrid) -> np.ndarray:
+    """Rotational mass matrix rho * int I(s) Phi Phi^T ds."""
+    return _mass_matrix(model.material.density, grid.weights, model.eval_I(grid.nodes),
+                        basis.eval(grid.nodes))
 
 
 def make_assembly(model: RobotModel, basis: ModalBasis, grid: QuadratureGrid,
@@ -162,8 +165,11 @@ def make_assembly(model: RobotModel, basis: ModalBasis, grid: QuadratureGrid,
         raise ConfigurationError(f"unknown damping model {damping_model!r}")
     nodes = grid.nodes
     wq = grid.weights
-    phi = basis.eval(nodes)
-    dphi = basis.deriv(nodes)
+    # one basis pass over the nodes and the tip, copied out in the layouts that
+    # separate eval/deriv calls return, so every later product keeps its bits
+    values, slopes = basis.eval_and_deriv(np.append(nodes, model.length))
+    phi, dphi = np.asfortranarray(values[:-1]), np.asfortranarray(slopes[:-1])
+    phi_l, dphi_l = values[-1].copy(), slopes[-1].copy()
     i_n = model.eval_I(nodes)
     a_n = model.eval_A(nodes)
     w_n = model.eval_W(nodes)
@@ -171,14 +177,12 @@ def make_assembly(model: RobotModel, basis: ModalBasis, grid: QuadratureGrid,
     qx, qy = model.cumulative_load(nodes)
     e_mod = model.material.youngs_modulus
     c_damp = model.material.damping_coeff
-    mass = assemble_mass(model, basis, grid)
+    mass = _mass_matrix(model.material.density, wq, i_n, phi)
     stiff = e_mod * dphi.T @ (wq[:, None] * i_n[:, None] * dphi)
     if damping_model == "pointwise":
         damping0 = c_damp * phi.T @ (wq[:, None] * phi)
     else:
         damping0 = np.zeros((basis.order, basis.order))
-    phi_l = basis.eval(model.length)
-    dphi_l = basis.deriv(model.length)
     wl = model.eval_W(model.length)
     return Assembly(
         model=model, basis=basis, grid=grid, damping_model=damping_model,

@@ -70,7 +70,8 @@ def _numeric_rows(lines, header: str, path: str) -> np.ndarray:
 def read_record_csv(path: str) -> SimulationRecord:
     """Load a record written by write_record_csv (series and shapes only).
 
-    A malformed record or shape file raises ConfigurationError.
+    A malformed record or shape file raises ConfigurationError, and so does a
+    record with no data rows or whose t is not finite and strictly increasing.
     """
     with open(path, newline="") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
@@ -78,6 +79,10 @@ def read_record_csv(path: str) -> SimulationRecord:
         raise ConfigurationError(f"{path} is not a simulation record CSV")
     data = _numeric_rows(lines[1:], RECORD_HEADER, path)
     n = data.shape[0]
+    if n == 0:
+        raise ConfigurationError(f"{path}: record has no data rows")
+    if not (np.all(np.isfinite(data[:, 0])) and np.all(np.diff(data[:, 0]) > 0)):
+        raise ConfigurationError(f"{path}: t must be finite and strictly increasing")
     empty = np.zeros((n, 0))
     zeros = np.zeros(n)
     shape_t = np.zeros(0)
@@ -113,7 +118,7 @@ def read_record_csv(path: str) -> SimulationRecord:
         shape_t=shape_t, shape_s=shape_s, shape_theta=shape_theta,
         shape_x=shape_x, shape_y=shape_y,
         compute_seconds=0.0,
-        nc_step=(n - 1 if n and data[-1, 10] == 0.0 else None),
+        nc_step=(n - 1 if data[-1, 10] == 0.0 else None),
     )
 
 

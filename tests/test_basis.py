@@ -1,10 +1,75 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import cdcrdyn as cd
+from cdcrdyn.basis import _legendre_rows, _orthogonal_rows
 from cdcrdyn.errors import ConfigurationError, DomainError
+
+
+def _inner_unit(a, b):
+    """Exact <x p, x q> on [0, 1] for coefficient lists over x^0..x^(m-1)."""
+    return sum((ai * bj * Fraction(1, i + j + 3) for i, ai in enumerate(a)
+                for j, bj in enumerate(b)), Fraction(0))
+
+
+def _gram_schmidt_rows(m):
+    """Reference: classical Gram-Schmidt over x^1..x^m, exact rationals."""
+    ortho = []
+    for j in range(m):
+        v = [Fraction(int(k == j)) for k in range(m)]
+        for u in ortho:
+            coef = _inner_unit(v, u) / _inner_unit(u, u)
+            v = [a - coef * b for a, b in zip(v, u)]
+        ortho.append(v)
+    return ortho
+
+
+def _legendre_reference(rows, scales):
+    """Reference: Legendre coefficients summed as Fractions, then rounded."""
+    m = len(rows)
+    out = np.zeros((m, m))
+    for j, row in enumerate(rows):
+        acc = [Fraction(0)] * m
+        for n, c in enumerate(row):
+            for k in range(n + 1):
+                acc[k] += c * Fraction((2 * k + 1) * math.factorial(n) ** 2,
+                                       math.factorial(n - k) * math.factorial(n + k + 1))
+        out[j] = [float(v) for v in acc]
+        out[j] *= scales[j]
+    return out
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_orthogonal_rows_equal_gram_schmidt(m):
+    rows, norms = _orthogonal_rows(m)
+    assert rows == _gram_schmidt_rows(m)
+    assert norms == [_inner_unit(u, u) for u in rows]
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_orthogonal_rows_invert_the_ldlt_factor(m):
+    # R G R^T = diag(D) with R unit lower triangular: R = L^-1 in G = L D L^T
+    rows, norms = _orthogonal_rows(m)
+    gram = [[Fraction(1, i + j + 3) for j in range(m)] for i in range(m)]
+    for i, row in enumerate(rows):
+        assert row[i] == 1 and not any(row[i + 1:])
+        g_row = [sum((c * gram[a][b] for a, c in enumerate(row)), Fraction(0))
+                 for b in range(m)]
+        for j, other in enumerate(rows):
+            got = sum((g * c for g, c in zip(g_row, other)), Fraction(0))
+            assert got == (norms[i] if i == j else 0), (i, j)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 8, 12])
+def test_legendre_rows_are_the_rounded_exact_sums(m):
+    rows, norms = _orthogonal_rows(m)
+    scales = [1.0 / math.sqrt(float(d) * 0.4) for d in norms]
+    for r, s in ((rows, scales), ([[Fraction(int(k == j)) for k in range(m)]
+                                   for j in range(m)], [1.0] * m)):
+        assert np.array_equal(_legendre_rows(r, s), _legendre_reference(r, s))
 
 
 def test_raw_monomial_values():
@@ -90,6 +155,26 @@ def test_quadrature_monomial_products_match_symbolic(grid):
             exact = 0.4 / (i + j + 3)
             got = grid.integrate(phi[:, i] * phi[:, j])
             assert abs(got - exact) < 1e-12
+
+
+@pytest.mark.parametrize("panels, points", [(1, 2), (3, 4), (16, 5), (7, 10)])
+def test_quadrature_matches_panel_loop(panels, points):
+    # reference: the grid filled panel by panel
+    x, wref = np.polynomial.legendre.leggauss(points)
+    half = 0.5 * 0.4 / panels
+    part = cd.make_quadrature(1, points, 2.0).fwd      # one panel of half-width 1
+    n = panels * points
+    nodes, weights, fwd = np.empty(n), np.empty(n), np.zeros((n, n))
+    for p in range(panels):
+        rows = slice(p * points, (p + 1) * points)
+        nodes[rows] = p * (0.4 / panels) + half * (x + 1.0)
+        weights[rows] = half * wref
+        fwd[rows, :p * points] = np.tile(half * wref, p)
+        fwd[rows, rows] = half * part
+    grid = cd.make_quadrature(panels, points, 0.4)
+    for got, want in ((grid.nodes, nodes), (grid.weights, weights), (grid.fwd, fwd),
+                      (grid.bwd, weights[None, :] - fwd)):
+        assert np.array_equal(got, want)
 
 
 def test_nested_upper_integral_constant(grid):

@@ -169,7 +169,12 @@ def test_bench_repeats_zero_is_an_error(tmp_path, capsys, monkeypatch):
     (["0,0.4,0"], None),
     (["0,0.4,0,0,0,0,0,0,0,0,1", "0.01,0.4,-0.001,-0.01,0,-1.5,0,0,0,0,1"],
      ["0,0,0,0,0", "0,0.4,0.4,0,0", "0.01,0,0,0,0"]),
-], ids=["non_numeric_cell", "short_row", "ragged_shapes"])
+    ([], None),
+    (["nan,0.4,0,0,0,0,0,0,0,0,1", "nan,0.4,-0.001,-0.01,0,-1.5,0,0,0,0,1"], None),
+    (["0,0.4,0,0,0,0,0,0,0,0,1", "0.02,0.4,-0.001,-0.01,0,-1.5,0,0,0,0,1",
+      "0.01,0.4,-0.002,-0.02,0,-1.5,0,0,0,0,1"], None),
+], ids=["non_numeric_cell", "short_row", "ragged_shapes", "header_only", "nan_time",
+        "time_goes_back"])
 def test_compare_malformed_csv_exit_code(tmp_path, capsys, record_rows, shape_rows):
     path = tmp_path / "bad.csv"
     path.write_text("\n".join([RECORD_HEADER, *record_rows]) + "\n")

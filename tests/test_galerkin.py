@@ -97,6 +97,23 @@ def test_mass_spd_all_cases(case_id, m):
     np.linalg.cholesky(mass)  # raises if not SPD
 
 
+@pytest.mark.parametrize("case_id", ["case1", "case2", "case3", "case4"])
+@pytest.mark.parametrize("m, kind", [(1, "orthonormal"), (4, "orthonormal"),
+                                     (6, "orthonormal"), (10, "orthonormal"),
+                                     (6, "raw_monomial")])
+def test_assembly_basis_pass_matches_standalone_calls(case_id, m, kind):
+    model = cd.build_case_model(case_id)
+    basis = cd.ModalBasis(m, model.length, kind)
+    grid = cd.make_quadrature(16, 5, model.length)
+    asm = cd.make_assembly(model, basis, grid)
+    for got, want in ((asm.phi, basis.eval(grid.nodes)), (asm.dphi, basis.deriv(grid.nodes)),
+                      (asm.phi_L, basis.eval(model.length)),
+                      (asm.dphi_L, basis.deriv(model.length))):
+        assert np.array_equal(got, want)
+        assert got.strides == want.strides    # same memory layout, same BLAS path
+    assert np.array_equal(asm.mass, cd.assemble_mass(model, basis, grid))
+
+
 def test_coupling_straight_closed_form(asm_raw1):
     # theta = 0, constant A, raw m=1: K = A L^3 / 20
     k_mat = cd.assemble_K(np.zeros(1), asm_raw1)
