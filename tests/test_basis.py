@@ -161,7 +161,7 @@ def test_quadrature_monomial_products_match_symbolic(grid):
 def test_quadrature_matches_panel_loop(panels, points):
     # reference: the grid filled panel by panel
     x, wref = np.polynomial.legendre.leggauss(points)
-    half = 0.5 * 0.4 / panels
+    half = 0.5 * (0.4 / panels)
     part = cd.make_quadrature(1, points, 2.0).fwd      # one panel of half-width 1
     n = panels * points
     nodes, weights, fwd = np.empty(n), np.empty(n), np.zeros((n, n))
