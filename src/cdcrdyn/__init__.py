@@ -15,9 +15,8 @@ from .galerkin import (Assembly, ModalState, SolverOptions, assemble_K,
                        assemble_state_fields, make_assembly, simulate, step)
 from .geometry import (DistributedLoad, GeometryProfile, MaterialParams,
                        RobotModel, build_case_model, derived_density, GRAVITY)
-from .kinematics import (BackboneShape, EnergyBreakdown, backbone_positions,
-                         compute_energies, lambda_boundary, lambda_substituted,
-                         shape_grid, tendon_displacement)
+from .kinematics import (BackboneShape, EnergyBreakdown, compute_energies,
+                         lambda_boundary, lambda_substituted, tendon_displacement)
 from .records import SimulationRecord
 from .recordio import (format_benchmark_table, read_record_csv, record_shapes,
                        write_benchmark_csv, write_record_csv, write_shape_svg)
@@ -37,8 +36,8 @@ __all__ = [
     "assemble_state_fields", "lambda_boundary", "lambda_substituted",
     "make_assembly", "simulate", "step", "DistributedLoad", "GeometryProfile",
     "MaterialParams", "RobotModel", "build_case_model", "derived_density",
-    "GRAVITY", "BackboneShape", "EnergyBreakdown", "backbone_positions",
-    "compute_energies", "shape_grid", "tendon_displacement", "SimulationRecord",
+    "GRAVITY", "BackboneShape", "EnergyBreakdown", "compute_energies",
+    "tendon_displacement", "SimulationRecord",
     "format_benchmark_table", "read_record_csv", "record_shapes",
     "write_benchmark_csv", "write_record_csv", "write_shape_svg", "Scenario",
     "SpeedupReport", "builtin_suite", "compare_records", "run_benchmark",

@@ -55,6 +55,8 @@ class ActuationProfile:
         if self.kind == "tabulated":
             if len(self.times) != len(self.values) or len(self.times) < 2:
                 raise ConfigurationError("tabulated profile needs matching t/value samples")
+            if not (np.all(np.isfinite(self.times)) and np.all(np.isfinite(self.values))):
+                raise ConfigurationError("tabulated samples must be finite")
             if any(b <= a for a, b in zip(self.times, self.times[1:])):
                 raise ConfigurationError("tabulated samples must be strictly increasing in t")
 

@@ -55,7 +55,6 @@ from .basis import (BASIS_KINDS, ModalBasis, QuadratureGrid, make_quadrature,
 from .errors import ConfigurationError, SolverFault
 from .geometry import RobotModel
 from .kinematics import sampled_record
-from .kinematics import lambda_boundary, lambda_substituted  # noqa: F401  (public here too)
 from .records import SimulationRecord, constrained_solve, run_loop, solve
 
 FIDELITIES = ("literal", "consistent")
@@ -128,8 +127,6 @@ class Assembly:
     dphi: np.ndarray         # (n, m)
     phi_L: np.ndarray        # (m,)
     dphi_L: np.ndarray       # (m,)
-    a_nodes: np.ndarray
-    ws_nodes: np.ndarray
     qx_nodes: np.ndarray
     qy_nodes: np.ndarray
     wl: float
@@ -187,7 +184,7 @@ def make_assembly(model: RobotModel, basis: ModalBasis, grid: QuadratureGrid,
     return Assembly(
         model=model, basis=basis, grid=grid, damping_model=damping_model,
         phi=phi, dphi=dphi, phi_L=phi_l, dphi_L=dphi_l,
-        a_nodes=a_n, ws_nodes=ws_n, qx_nodes=qx, qy_nodes=qy,
+        qx_nodes=qx, qy_nodes=qy,
         wl=wl, il=model.eval_I(model.length),
         mass=mass, stiffness=stiff, damping0=damping0,
         b_literal=model.eval_W(0.0) * (wq @ phi),
@@ -349,16 +346,11 @@ def stepper(asm: Assembly, dt: float, fidelity: str) -> Stepper:
     return hit
 
 
-def _advance(state: ModalState, asm: Assembly, profile: ActuationProfile,
-             options: SolverOptions):
-    return stepper(asm, options.dt, options.fidelity).advance(state, profile)
-
-
 def step(state: ModalState, asm: Assembly, profile: ActuationProfile,
          options: SolverOptions) -> ModalState:
     """One semi-implicit Euler step; raises SolverFault on a non-finite result
     and ConfigurationError on displacement input under the literal fidelity."""
-    new_state, _ = _advance(state, asm, profile, options)
+    new_state, _ = stepper(asm, options.dt, options.fidelity).advance(state, profile)
     c, c_t = new_state.c, new_state.c_t
     # any inf or nan entry makes c . c_t non-finite; only an overflow of finite
     # entries needs the entry-wise check

@@ -3,8 +3,9 @@
 The robot backbone is an inextensible planar rod parameterized by arc length
 s in [0, L], with spatially varying second moment of area I(s), cross-section
 area A(s) and cable spacing W(s), a uniform distributed load (q_x, q_y) and
-viscous damping.  Everything here is immutable after construction so models
-can be shared freely between concurrent scenario runs.
+viscous damping.  Each profile is a constant, a linear diameter taper (I and
+A) or a cubic spacing reduction (W).  Everything here is immutable after
+construction so models can be shared freely between concurrent scenario runs.
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ CUBIC_W1 = 0.03             # m, cubic spacing reduction toward the tip
 CASE_IDS = ("case1", "case2", "case3", "case4")
 
 
-def derived_density(q_y: float, area: float, g: float = GRAVITY) -> float:
+def derived_density(q_y: float, area: float) -> float:
     """Effective lumped density making the gravity load q_y = rho*A*g consistent."""
-    return q_y / (area * g)
+    return q_y / (area * GRAVITY)
 
 
 @dataclass(frozen=True)
@@ -50,17 +51,17 @@ class MaterialParams:
     damping_coeff: float    # viscous coefficient c
 
     def __post_init__(self):
-        if not self.youngs_modulus > 0:
-            raise ConfigurationError("youngs_modulus must be positive")
-        if not self.density > 0:
-            raise ConfigurationError("density must be positive")
-        if self.damping_coeff < 0:
-            raise ConfigurationError("damping_coeff must be non-negative")
+        if not 0 < self.youngs_modulus < math.inf:
+            raise ConfigurationError("youngs_modulus must be positive and finite")
+        if not 0 < self.density < math.inf:
+            raise ConfigurationError("density must be positive and finite")
+        if not 0 <= self.damping_coeff < math.inf:
+            raise ConfigurationError("damping_coeff must be non-negative and finite")
 
 
 @dataclass(frozen=True)
 class GeometryProfile:
-    """One spatial profile: constant, diameter taper, cubic spacing or tabulated.
+    """One spatial profile: constant, diameter taper or cubic spacing.
 
     A diameter taper stores the end diameters and is evaluated differently for
     I(s) and A(s); the cubic kind is only meaningful for the cable spacing.
@@ -72,8 +73,6 @@ class GeometryProfile:
     d1: float = 0.0
     w0: float = 0.0
     w1: float = 0.0
-    s_samples: tuple = ()
-    v_samples: tuple = ()
 
     @classmethod
     def constant(cls, value: float) -> "GeometryProfile":
@@ -87,16 +86,6 @@ class GeometryProfile:
     def cubic_spacing(cls, w0: float, w1: float) -> "GeometryProfile":
         return cls(kind="cubic", w0=w0, w1=w1)
 
-    @classmethod
-    def tabulated(cls, s, values) -> "GeometryProfile":
-        s = tuple(float(v) for v in s)
-        values = tuple(float(v) for v in values)
-        if len(s) != len(values) or len(s) < 2:
-            raise ConfigurationError("tabulated profile needs matching s/value samples")
-        if any(b <= a for a, b in zip(s, s[1:])):
-            raise ConfigurationError("tabulated samples must be strictly increasing in s")
-        return cls(kind="tabulated", s_samples=s, v_samples=values)
-
 
 @dataclass(frozen=True)
 class DistributedLoad:
@@ -108,9 +97,9 @@ class DistributedLoad:
             raise ConfigurationError("distributed load must be finite")
 
 
-_I_KINDS = ("constant", "taper", "tabulated")
-_A_KINDS = ("constant", "taper", "tabulated")
-_W_KINDS = ("constant", "cubic", "tabulated")
+_I_KINDS = ("constant", "taper")
+_A_KINDS = ("constant", "taper")
+_W_KINDS = ("constant", "cubic")
 
 
 @dataclass(frozen=True)
@@ -123,8 +112,8 @@ class RobotModel:
     load: DistributedLoad = field(default_factory=DistributedLoad)
 
     def __post_init__(self):
-        if not self.length > 0:
-            raise ConfigurationError("length must be positive")
+        if not 0 < self.length < math.inf:
+            raise ConfigurationError("length must be positive and finite")
         for prof, kinds, name in (
             (self.profile_I, _I_KINDS, "I"),
             (self.profile_A, _A_KINDS, "A"),
@@ -134,15 +123,13 @@ class RobotModel:
                 raise ConfigurationError(
                     f"profile kind {prof.kind!r} not valid for {name}(s)"
                 )
-            if prof.kind == "tabulated":
-                if prof.s_samples[0] > 1e-12 or prof.s_samples[-1] < self.length * (1 - 1e-12):
-                    raise ConfigurationError(
-                        f"tabulated profile for {name}(s) must cover [0, L]"
-                    )
         probe = np.linspace(0.0, self.length, 257)
-        for fn, name in ((self.eval_I, "I"), (self.eval_A, "A"), (self.eval_W, "W")):
-            if not np.all(fn(probe) > 0):
-                raise ConfigurationError(f"{name}(s) must stay positive on [0, L]")
+        with np.errstate(all="ignore"):     # an inf or nan sample only fails the check
+            for fn, name in ((self.eval_I, "I"), (self.eval_A, "A"), (self.eval_W, "W")):
+                values = fn(probe)          # min and max propagate nan
+                if not (0 < values.min() and values.max() < math.inf):
+                    raise ConfigurationError(
+                        f"{name}(s) must stay finite and positive on [0, L]")
 
     # -- profile evaluation ------------------------------------------------
 
@@ -162,10 +149,8 @@ class RobotModel:
         prof = self.profile_I
         if prof.kind == "constant":
             out = np.full_like(s, prof.value)
-        elif prof.kind == "taper":
-            out = (np.pi / 64.0) * self._taper_diameter(prof, s) ** 4
         else:
-            out = np.interp(s, prof.s_samples, prof.v_samples)
+            out = (np.pi / 64.0) * self._taper_diameter(prof, s) ** 4
         return out if out.ndim else float(out)
 
     def eval_A(self, s):
@@ -174,10 +159,8 @@ class RobotModel:
         prof = self.profile_A
         if prof.kind == "constant":
             out = np.full_like(s, prof.value)
-        elif prof.kind == "taper":
-            out = (np.pi / 4.0) * self._taper_diameter(prof, s) ** 2
         else:
-            out = np.interp(s, prof.s_samples, prof.v_samples)
+            out = (np.pi / 4.0) * self._taper_diameter(prof, s) ** 2
         return out if out.ndim else float(out)
 
     def eval_W(self, s):
@@ -186,27 +169,18 @@ class RobotModel:
         prof = self.profile_W
         if prof.kind == "constant":
             out = np.full_like(s, prof.value)
-        elif prof.kind == "cubic":
-            out = prof.w0 - prof.w1 * (s / self.length) ** 3
         else:
-            out = np.interp(s, prof.s_samples, prof.v_samples)
+            out = prof.w0 - prof.w1 * (s / self.length) ** 3
         return out if out.ndim else float(out)
 
     def eval_W_s(self, s):
-        """Spacing gradient dW/ds, analytic where possible."""
+        """Spacing gradient dW/ds."""
         s = self._check_domain(s)
         prof = self.profile_W
         if prof.kind == "constant":
             out = np.zeros_like(s)
-        elif prof.kind == "cubic":
-            out = -3.0 * prof.w1 * s**2 / self.length**3
         else:
-            # central difference on the interpolant; clamp stays inside [0, L]
-            h = 0.5 * min(b - a for a, b in zip(prof.s_samples, prof.s_samples[1:]))
-            lo = np.clip(s - h, 0.0, self.length)
-            hi = np.clip(s + h, 0.0, self.length)
-            out = (np.interp(hi, prof.s_samples, prof.v_samples)
-                   - np.interp(lo, prof.s_samples, prof.v_samples)) / (hi - lo)
+            out = -3.0 * prof.w1 * s**2 / self.length**3
         return out if out.ndim else float(out)
 
     def cumulative_load(self, s):
@@ -220,8 +194,7 @@ class RobotModel:
         return float(qx), float(qy)
 
 
-def build_case_model(case_id: str, *, density: float | None = None,
-                     damping: float = BASE_DAMPING) -> RobotModel:
+def build_case_model(case_id: str) -> RobotModel:
     """Baseline rig with the per-case geometry substitution.
 
     case1: uniform rod, case2: linearly tapered diameter, case3: cubic cable
@@ -229,9 +202,8 @@ def build_case_model(case_id: str, *, density: float | None = None,
     """
     if case_id not in CASE_IDS:
         raise ConfigurationError(f"unknown case id {case_id!r}")
-    if density is None:
-        density = derived_density(BASE_LOAD_Y, BASE_AREA)
-    material = MaterialParams(BASE_YOUNGS_MODULUS, density, damping)
+    material = MaterialParams(BASE_YOUNGS_MODULUS, derived_density(BASE_LOAD_Y, BASE_AREA),
+                              BASE_DAMPING)
     load = DistributedLoad(q_x=BASE_LOAD_X, q_y=BASE_LOAD_Y)
     prof_i = GeometryProfile.constant(BASE_SECOND_MOMENT)
     prof_a = GeometryProfile.constant(BASE_AREA)

@@ -1,11 +1,12 @@
 """Reconstruction of the continuous configuration and the recorded diagnostics.
 
-Pure functions from sampled bending-angle fields to Cartesian backbone shape,
-tendon displacement, the energy split and the closed-form cable multipliers.
-Each takes one field or a stack of fields along its last axis, so a solver's
-recorded samples are post-processed in one pass (``sampled_record``), used
-identically for modal and nodal solver states.  The closed-form multipliers
-are record diagnostics only; no solver step applies them.
+Pure functions from sampled bending-angle fields to tendon displacement, the
+energy split and the closed-form cable multipliers.  Each takes one field or a
+stack of fields along its last axis, so a solver's recorded samples are
+post-processed in one pass (``sampled_record``), used identically for modal
+and nodal solver states; that pass also integrates the unit tangent into the
+Cartesian backbone snapshots.  The closed-form multipliers are record
+diagnostics only; no solver step applies them.
 """
 
 from __future__ import annotations
@@ -25,10 +26,6 @@ SHAPE_STRIDE = 10    # a shape row every SHAPE_STRIDE-th recorded sample
 LAMBDA_EPSILON = 1e-8  # |denominator| below which lambda_substituted falls back
 
 
-def shape_grid(length: float, samples: int = SHAPE_SAMPLES) -> np.ndarray:
-    return np.linspace(0.0, length, samples)
-
-
 def cumtrapz(y, x):
     """Cumulative trapezoid of y(x) starting at 0."""
     y = np.asarray(y, dtype=float)
@@ -43,8 +40,6 @@ class BackboneShape:
     s: np.ndarray
     x: np.ndarray
     y: np.ndarray
-    theta: np.ndarray
-    kappa: np.ndarray
 
 
 @dataclass
@@ -54,24 +49,6 @@ class EnergyBreakdown:
     t_y: float
     u_bend: float
     g_pot: float
-
-    @property
-    def kinetic(self):
-        return self.t_rot + self.t_x + self.t_y
-
-    @property
-    def mechanical(self):
-        return self.kinetic + self.u_bend + self.g_pot
-
-
-def backbone_positions(s, theta) -> BackboneShape:
-    """Integrate the unit tangent field into Cartesian backbone positions."""
-    s = np.asarray(s, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    x = cumtrapz(np.cos(theta), s)
-    y = cumtrapz(np.sin(theta), s)
-    kappa = np.gradient(theta, s)
-    return BackboneShape(s=s, x=x, y=y, theta=theta, kappa=kappa)
 
 
 def tendon_displacement(theta, theta_L, model: RobotModel, grid: QuadratureGrid) -> float:
@@ -177,7 +154,7 @@ def sampled_record(plant, profile: ActuationProfile, *, t, states, rates,
     energy = compute_energies(theta, theta_t, theta_s, model, grid)
     # a shape row at every SHAPE_STRIDE-th sample and at the last one
     keep = np.r_[np.arange(0, t.size - 1, SHAPE_STRIDE), t.size - 1]
-    s_shape = shape_grid(model.length)
+    s_shape = np.linspace(0.0, model.length, SHAPE_SAMPLES)
     shape_theta = shape_angles(states[keep], s_shape)
     return SimulationRecord(
         mode=profile.mode, t=t, states=states, rates=rates, accels=accels,

@@ -124,15 +124,9 @@ def read_record_csv(path: str) -> SimulationRecord:
 
 def record_shapes(record: SimulationRecord):
     """Backbone snapshots stored in a record, as (time, BackboneShape) pairs."""
-    out = []
-    for k, t in enumerate(record.shape_t):
-        theta = record.shape_theta[k]
-        kappa = (np.gradient(theta, record.shape_s) if record.shape_s.size > 1
-                 else np.zeros_like(theta))
-        out.append((float(t), BackboneShape(
-            s=record.shape_s, x=record.shape_x[k], y=record.shape_y[k],
-            theta=theta, kappa=kappa)))
-    return out
+    return [(float(t), BackboneShape(s=record.shape_s, x=record.shape_x[k],
+                                      y=record.shape_y[k]))
+            for k, t in enumerate(record.shape_t)]
 
 
 def write_shape_svg(shapes, path: str, length: float | None = None) -> None:

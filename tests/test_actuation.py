@@ -106,6 +106,13 @@ def test_profile_csv_roundtrip(tmp_path):
 def test_validation_errors():
     with pytest.raises(ConfigurationError):
         ActuationProfile.tabulated([0.0, 0.0], [1.0, 2.0])
+    # a NaN time would pass the ordering check: every comparison with NaN is false
+    for times, values in (([0.0, math.nan, 2.0], [0.0, 1.0, 2.0]),
+                          ([0.0, 1.0], [0.0, math.nan]),
+                          ([0.0, math.inf], [0.0, 1.0]),
+                          ([0.0, 1.0], [-math.inf, 1.0])):
+        with pytest.raises(ConfigurationError):
+            ActuationProfile.tabulated(times, values)
     with pytest.raises(ConfigurationError):
         ActuationProfile(mode="force", kind="nope")
     with pytest.raises(ConfigurationError):

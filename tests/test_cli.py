@@ -56,6 +56,18 @@ def test_config_error_exit_code(tmp_path):
         cfg.write_text("[run]\nhorizon = 0.01\n[sd]\nnodes = 51\n" + text)
         assert main(["run", "--config", str(cfg), "--solver", "sd",
                      "--out", str(tmp_path)]) == 2, text
+    # non-finite model values and tabulated samples are refused before any step
+    bad_time, bad_value = tmp_path / "bad_time.csv", tmp_path / "bad_value.csv"
+    bad_time.write_text("0,0\nnan,1\n0.02,0.5\n")
+    bad_value.write_text("0,0\n0.01,nan\n0.02,0.5\n")
+    for text in ("[model]\ndamping_coeff = nan\n", "[model]\nyoungs_modulus = inf\n",
+                 "[model]\ndensity = inf\n", "[model]\nlength = inf\n",
+                 "[model]\ncable_spacing = inf\n", "[model]\nsecond_moment = inf\n",
+                 f"[profile]\nkind = tabulated\ncsv = {bad_time}\n",
+                 f"[profile]\nkind = tabulated\ncsv = {bad_value}\n"):
+        cfg.write_text("[run]\nhorizon = 0.02\n" + text)
+        assert main(["run", "--config", str(cfg), "--scenario", "case1_linear",
+                     "--solver", "both", "--out", str(tmp_path)]) == 2, text
 
 
 def test_literal_displacement_run_is_a_config_error(tmp_path, capsys):

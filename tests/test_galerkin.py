@@ -5,8 +5,8 @@ import pytest
 
 import cdcrdyn as cd
 from cdcrdyn.actuation import ActuationProfile
-from cdcrdyn.galerkin import (ModalState, _advance, assemble_state_fields,
-                              lambda_boundary, lambda_substituted, stepper)
+from cdcrdyn.galerkin import ModalState, assemble_state_fields, stepper
+from cdcrdyn.kinematics import lambda_boundary, lambda_substituted
 from cdcrdyn.records import constrained_solve
 
 TWO_PI = 2 * math.pi
@@ -152,14 +152,15 @@ def _reference_state_fields(theta, theta_t, asm):
     wq = grid.weights
     sn = np.sin(theta)
     cs = np.cos(theta)
+    a_n = asm.model.eval_A(grid.nodes)
     ps = grid.fwd @ (asm.phi * sn[:, None])
     pc = grid.fwd @ (asm.phi * cs[:, None])
-    rs = grid.bwd @ (asm.a_nodes[:, None] * ps)
-    rc = grid.bwd @ (asm.a_nodes[:, None] * pc)
+    rs = grid.bwd @ (a_n[:, None] * ps)
+    rc = grid.bwd @ (a_n[:, None] * pc)
     coupling = rs.T @ (asm.phi * (wq * sn)[:, None]) + rc.T @ (asm.phi * (wq * cs)[:, None])
     tt2 = np.asarray(theta_t) ** 2
-    j_s = grid.bwd @ (asm.a_nodes * (grid.fwd @ (tt2 * cs)))
-    j_c = grid.bwd @ (asm.a_nodes * (grid.fwd @ (tt2 * sn)))
+    j_s = grid.bwd @ (a_n * (grid.fwd @ (tt2 * cs)))
+    j_c = grid.bwd @ (a_n * (grid.fwd @ (tt2 * sn)))
     coriolis = asm.phi.T @ (wq * (sn * j_s - cs * j_c))
     f_q = asm.phi.T @ (wq * (asm.qy_nodes * cs - asm.qx_nodes * sn))
     if asm.damping_model == "drag":
@@ -293,16 +294,16 @@ def test_load_vector_vanishes_sideways(case1, raw1, grid):
 def _substituted(c, delta_l, asm):
     """lambda_substituted on the fields of the modal coefficients c."""
     c = np.asarray(c, dtype=float)
+    ws_n = asm.model.eval_W_s(asm.grid.nodes)
     return lambda_substituted(asm.phi_L @ c, asm.dphi_L @ c,
-                              asm.grid.integrate(asm.ws_nodes * (asm.phi @ c)), delta_l,
-                              asm)
+                              asm.grid.integrate(ws_n * (asm.phi @ c)), delta_l, asm)
 
 
 def test_gamma_force_mode(asm_case1, case1):
     profile = ActuationProfile.step(3.0)
     options = cd.SolverOptions()
     state = ModalState(0.5, np.zeros(6), np.zeros(6), np.zeros(6))
-    _, gam = _advance(state, asm_case1, profile, options)
+    _, gam = stepper(asm_case1, options.dt, options.fidelity).advance(state, profile)
     assert gam == -1.5
 
 
@@ -338,8 +339,8 @@ def test_lambda_fallback_boundary_form(case1, raw2, grid):
 def test_actuation_load_literal(asm_raw1, case1_noload):
     profile = ActuationProfile.step(3.0)
     options = cd.SolverOptions(m=1, basis_kind="raw_monomial", fidelity="literal")
-    _, gam = _advance(ModalState(0.5, np.zeros(1), np.zeros(1), np.zeros(1)), asm_raw1,
-                      profile, options)
+    _, gam = stepper(asm_raw1, options.dt, options.fidelity).advance(
+        ModalState(0.5, np.zeros(1), np.zeros(1), np.zeros(1)), profile)
     f_l = gam * asm_raw1.b_literal
     # Gamma * W(0) * int phi = -1.5 * 0.11 * L/2
     assert f_l[0] == pytest.approx(-1.5 * 0.11 * L / 2, rel=1e-12)
@@ -349,8 +350,8 @@ def test_actuation_load_literal(asm_raw1, case1_noload):
 def test_actuation_load_consistent_constant_spacing(asm_raw1):
     profile = ActuationProfile.step(3.0)
     options = cd.SolverOptions(m=1, basis_kind="raw_monomial", fidelity="consistent")
-    _, gam = _advance(ModalState(0.5, np.zeros(1), np.zeros(1), np.zeros(1)), asm_raw1,
-                      profile, options)
+    _, gam = stepper(asm_raw1, options.dt, options.fidelity).advance(
+        ModalState(0.5, np.zeros(1), np.zeros(1), np.zeros(1)), profile)
     f_l = gam * asm_raw1.b_consistent
     # constant W: f = Gamma * W * phi(L)
     assert f_l[0] == pytest.approx(-1.5 * W * 1.0, rel=1e-12)
@@ -405,7 +406,8 @@ def test_one_step_from_rest_hand_computed(case1_noload, raw1, grid):
     asm = cd.make_assembly(case1_noload, raw1, grid)
     options = cd.SolverOptions(m=1, basis_kind="raw_monomial", dt=1e-3)
     profile = ActuationProfile.step(3.0)
-    state, gam = _advance(ModalState.rest(1), asm, profile, options)
+    state, gam = stepper(asm, options.dt, options.fidelity).advance(
+        ModalState.rest(1), profile)
     rho = case1_noload.material.density
     k_h = A * L**3 / 20
     mass_h = rho * I * L / 3
@@ -522,8 +524,8 @@ def test_diagnostics_at_samples_match_step_loop(case1):
         theta = asm.phi @ prev.c
         assert record.lambda_post[k] == lambda_substituted(
             float(asm.phi_L @ prev.c), float(asm.dphi_L @ prev.c),
-            float(asm.grid.integrate(asm.ws_nodes * theta)), profile.value(record.t[k]),
-            asm)
+            float(asm.grid.integrate(asm.model.eval_W_s(asm.grid.nodes) * theta)),
+            profile.value(record.t[k]), asm)
     assert np.any(record.lambda_post[1:] != 0.0)
 
 

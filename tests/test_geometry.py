@@ -107,36 +107,6 @@ def test_profiles_positive_everywhere(case_id, rng):
     assert np.all(model.eval_W(s) > 0)
 
 
-def test_tabulated_gradient_matches_analytic():
-    base = cd.build_case_model("case3")
-    s_tab = np.linspace(0, base.length, 8001)
-    tab = cd.GeometryProfile.tabulated(s_tab, base.eval_W(s_tab))
-    model = cd.RobotModel(length=base.length, profile_I=base.profile_I,
-                          profile_A=base.profile_A, profile_W=tab,
-                          material=base.material, load=base.load)
-    interior = s_tab[400:-400:80]
-    got = model.eval_W_s(interior)
-    want = base.eval_W_s(interior)
-    scale = np.abs(base.eval_W_s(base.length))
-    # relative error where the gradient has settled away from its zero at s=0
-    away = np.abs(want) > 0.01 * scale
-    assert np.max(np.abs(got[away] - want[away]) / np.abs(want[away])) < 1e-6
-    assert np.max(np.abs(got - want)) < 1e-6 * scale
-
-
-def test_tabulated_validation():
-    with pytest.raises(ConfigurationError):
-        cd.GeometryProfile.tabulated([0.0, 0.1, 0.1], [1, 2, 3])
-    with pytest.raises(ConfigurationError):
-        cd.GeometryProfile.tabulated([0.0], [1.0])
-    base = cd.build_case_model("case1")
-    short = cd.GeometryProfile.tabulated([0.0, 0.2], [0.1, 0.1])
-    with pytest.raises(ConfigurationError):
-        cd.RobotModel(length=base.length, profile_I=base.profile_I,
-                      profile_A=base.profile_A, profile_W=short,
-                      material=base.material, load=base.load)
-
-
 def test_profile_kind_role_validation(case1):
     cubic = cd.GeometryProfile.cubic_spacing(0.04, 0.03)
     with pytest.raises(ConfigurationError):
@@ -152,3 +122,17 @@ def test_material_validation():
         cd.MaterialParams(2e9, 0.0, 16.0)
     with pytest.raises(ConfigurationError):
         cd.MaterialParams(2e9, 1000.0, -0.5)
+    for bad in ((math.inf, 1000.0, 16.0), (2e9, math.inf, 16.0), (2e9, 1000.0, math.nan),
+                (2e9, 1000.0, math.inf)):
+        with pytest.raises(ConfigurationError):
+            cd.MaterialParams(*bad)
+
+
+def test_model_rejects_non_finite_geometry(case1):
+    fields = dict(length=case1.length, profile_I=case1.profile_I, profile_A=case1.profile_A,
+                  profile_W=case1.profile_W, material=case1.material, load=case1.load)
+    for name, value in (("length", math.inf), ("profile_I", cd.GeometryProfile.constant(math.inf)),
+                        ("profile_A", cd.GeometryProfile.diameter_taper(math.inf, 0.004)),
+                        ("profile_W", cd.GeometryProfile.cubic_spacing(0.04, math.inf))):
+        with pytest.raises(ConfigurationError):
+            cd.RobotModel(**{**fields, name: value})

@@ -70,7 +70,7 @@ def test_nc_record_flags_last_row(tmp_path, case1):
 
 def test_svg_single_straight_shape(tmp_path):
     s = np.linspace(0, 0.4, 21)
-    shape = cd.backbone_positions(s, np.zeros_like(s))
+    shape = cd.BackboneShape(s, s, np.zeros_like(s))
     path = tmp_path / "shape.svg"
     write_shape_svg([(0.0, shape)], str(path), length=0.4)
     text = path.read_text()
@@ -82,7 +82,7 @@ def test_svg_single_straight_shape(tmp_path):
 
 def test_svg_five_snapshots(tmp_path):
     s = np.linspace(0, 0.4, 21)
-    shapes = [(0.1 * k, cd.backbone_positions(s, np.full_like(s, 0.2 * k)))
+    shapes = [(0.1 * k, cd.BackboneShape(s, s * np.cos(0.2 * k), s * np.sin(0.2 * k)))
               for k in range(5)]
     path = tmp_path / "family.svg"
     write_shape_svg(shapes, str(path), length=0.4)
