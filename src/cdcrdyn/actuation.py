@@ -2,12 +2,18 @@
 
 A profile is an immutable value object evaluatable at scalar or array times.
 First and second time derivatives are provided analytically per kind; the
-displacement-mode solver needs them for constraint stabilization.
+displacement-mode solver needs them for constraint stabilization.  Each kind
+is written once, as (value, rate, accel) on its pieces before and from
+``t_shift``.  ``command(t)`` returns all three: for a float t it branches in
+Python and calls numpy ufuncs on floats (about a microsecond), which is what a
+modal step calls, once per step; ``value``, ``rate`` and ``accel`` are its
+three parts, on floats or arrays.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +31,7 @@ PROFILE_KINDS = (
     "decaying_sinusoid",
     "tabulated",
 )
+_SCALARS = ("slope", "offset", "amplitude", "omega", "decay_rate", "t_shift", "hold_value")
 
 
 @dataclass(frozen=True)
@@ -48,9 +55,9 @@ class ActuationProfile:
             raise ConfigurationError(f"unknown profile kind {self.kind!r}")
         if self.decay_rate < 0:
             raise ConfigurationError("decay_rate must be non-negative")
-        scalars = (self.slope, self.offset, self.amplitude, self.omega,
-                   self.decay_rate, self.t_shift, self.hold_value)
-        if not all(np.isfinite(scalars)):
+        for name in _SCALARS:   # so every piece returns floats
+            object.__setattr__(self, name, float(getattr(self, name)))
+        if not all(math.isfinite(getattr(self, name)) for name in _SCALARS):
             raise ConfigurationError("profile parameters must be finite")
         if self.kind == "tabulated":
             if len(self.times) != len(self.values) or len(self.times) < 2:
@@ -99,85 +106,70 @@ class ActuationProfile:
 
     # -- evaluation -----------------------------------------------------------
 
+    def command(self, t):
+        """(value, rate, accel) at t: floats for a float t, arrays otherwise.
+
+        A float t takes one piece of the kind, chosen by a Python branch on
+        t_shift, with numpy ufuncs on floats; this is the per-step call.  Array
+        times evaluate both pieces and pick with np.where.
+        """
+        early, late = _PIECES[self.kind]
+        if not isinstance(t, float):
+            t = np.asarray(t, dtype=float)
+            if t.ndim:
+                before = early(self, t)
+                after = before if late is early else late(self, t)
+                return tuple(np.where(t < self.t_shift, b, a) for b, a in zip(before, after))
+            t = float(t)
+        return (early if t < self.t_shift else late)(self, t)
+
     def value(self, t):
-        t = np.asarray(t, dtype=float)
-        k = self.kind
-        if k == "linear":
-            out = self.slope * t + self.offset
-        elif k == "offset_sinusoid":
-            out = self.offset - self.amplitude * np.sin(self.omega * (t - self.t_shift))
-        elif k == "step":
-            out = np.where(t >= self.t_shift, self.amplitude, 0.0)
-        elif k == "ramp_then_sinusoid":
-            out = np.where(
-                t < self.t_shift,
-                self.slope * t,
-                self.offset + self.amplitude * np.sin(self.omega * (t - self.t_shift)),
-            )
-        elif k == "decaying_sinusoid":
-            out = np.where(
-                t < self.t_shift,
-                self.offset - self.amplitude * np.exp(-self.decay_rate * t) * np.sin(self.omega * t),
-                self.hold_value,
-            )
-        else:
-            out = np.interp(t, self.times, self.values)
-        return out if out.ndim else float(out)
+        return self.command(t)[0]
 
     def rate(self, t):
         """d(value)/dt; step jumps are handled at the position level, not here."""
-        t = np.asarray(t, dtype=float)
-        k = self.kind
-        if k == "linear":
-            out = np.full_like(t, self.slope)
-        elif k == "offset_sinusoid":
-            out = -self.amplitude * self.omega * np.cos(self.omega * (t - self.t_shift))
-        elif k == "step":
-            out = np.zeros_like(t)
-        elif k == "ramp_then_sinusoid":
-            out = np.where(
-                t < self.t_shift,
-                self.slope,
-                self.amplitude * self.omega * np.cos(self.omega * (t - self.t_shift)),
-            )
-        elif k == "decaying_sinusoid":
-            env = self.amplitude * np.exp(-self.decay_rate * t)
-            out = np.where(
-                t < self.t_shift,
-                env * (self.decay_rate * np.sin(self.omega * t) - self.omega * np.cos(self.omega * t)),
-                0.0,
-            )
-        else:
-            tt = np.asarray(self.times)
-            vv = np.asarray(self.values)
-            slopes = np.diff(vv) / np.diff(tt)
-            idx = np.clip(np.searchsorted(tt, t, side="right") - 1, 0, len(slopes) - 1)
-            out = np.where((t <= tt[0]) | (t >= tt[-1]), 0.0, slopes[idx])
-        return out if out.ndim else float(out)
+        return self.command(t)[1]
 
     def accel(self, t):
         """d^2(value)/dt^2 away from kinks."""
-        t = np.asarray(t, dtype=float)
-        k = self.kind
-        if k == "offset_sinusoid":
-            out = self.amplitude * self.omega**2 * np.sin(self.omega * (t - self.t_shift))
-        elif k == "ramp_then_sinusoid":
-            out = np.where(
-                t < self.t_shift,
-                0.0,
-                -self.amplitude * self.omega**2 * np.sin(self.omega * (t - self.t_shift)),
-            )
-        elif k == "decaying_sinusoid":
-            env = self.amplitude * np.exp(-self.decay_rate * t)
-            d, w = self.decay_rate, self.omega
-            out = np.where(
-                t < self.t_shift,
-                env * ((w**2 - d**2) * np.sin(w * t) + 2.0 * d * w * np.cos(w * t)),
-                0.0,
-            )
-        else:
-            out = np.zeros_like(t)
-        return out if out.ndim else float(out)
+        return self.command(t)[2]
+
+
+# Each kind's (value, rate, accel) as functions of t, a float or an array, on
+# its piece before t_shift and on its piece from t_shift on.
+
+def _sinusoid(p, t, amplitude):
+    phase = p.omega * (t - p.t_shift)
+    sn = np.sin(phase)
+    return (p.offset + amplitude * sn, amplitude * p.omega * np.cos(phase),
+            -amplitude * p.omega**2 * sn)
+
+
+def _decaying_sinusoid(p, t):
+    d, w = p.decay_rate, p.omega
+    env = p.amplitude * np.exp(-d * t)
+    sn, cs = np.sin(w * t), np.cos(w * t)
+    return (p.offset - env * sn, env * (d * sn - w * cs),
+            env * ((w**2 - d**2) * sn + 2.0 * d * w * cs))
+
+
+def _tabulated(p, t):
+    tt, vv = np.asarray(p.times), np.asarray(p.values)
+    slopes = np.diff(vv) / np.diff(tt)
+    idx = np.clip(np.searchsorted(tt, t, side="right") - 1, 0, len(slopes) - 1)
+    rate = np.where((t <= tt[0]) | (t >= tt[-1]), 0.0, slopes[idx])
+    return np.interp(t, tt, vv), rate[()], 0.0
+
+
+_PIECES = {   # kind -> (piece for t < t_shift, piece for t >= t_shift)
+    "linear": (lambda p, t: (p.slope * t + p.offset, p.slope, 0.0),) * 2,
+    "offset_sinusoid": (lambda p, t: _sinusoid(p, t, -p.amplitude),) * 2,
+    "step": (lambda p, t: (0.0, 0.0, 0.0), lambda p, t: (p.amplitude, 0.0, 0.0)),
+    "ramp_then_sinusoid": (lambda p, t: (p.slope * t, p.slope, 0.0),
+                           lambda p, t: _sinusoid(p, t, p.amplitude)),
+    "decaying_sinusoid": (_decaying_sinusoid, lambda p, t: (p.hold_value, 0.0, 0.0)),
+    "tabulated": (_tabulated,) * 2,
+}
 
 
 def profile_from_csv(path, mode=FORCE) -> ActuationProfile:

@@ -20,13 +20,15 @@ Quadrature is composite Gauss-Legendre.  Besides plain integration the grid
 provides forward and backward cumulative operators: matrices F and B with
 (F f)_k ~ integral of f over [0, s_k] and (B f)_k ~ integral over [s_k, L].
 Within a panel the partial integral is taken on the Lagrange interpolant of
-the panel nodes, so cumulative values keep spectral accuracy.  All nested
+the panel nodes, so cumulative values keep spectral accuracy; that reference
+panel rule is computed once per point count and shared.  All nested
 double integrals in the dynamic assemblies reduce to one forward and one
 backward pass, linear in the node count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -186,14 +188,24 @@ def _partial_panel_matrix(x: np.ndarray) -> np.ndarray:
     return ((upper - lower) / (k + 1)) @ lag
 
 
+@functools.cache
+def _panel_rule(points: int):
+    """Gauss-Legendre nodes and weights on [-1, 1] and their partial-panel
+    matrix, computed once per point count and returned read-only."""
+    x, wref = np.polynomial.legendre.leggauss(points)
+    rule = (x, wref, _partial_panel_matrix(x))
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
 def make_quadrature(panels: int, points_per_panel: int, length: float) -> QuadratureGrid:
     """Composite Gauss-Legendre grid over [0, L] with cumulative operators."""
     if panels < 1 or points_per_panel < 2:
         raise ConfigurationError("need at least 1 panel and 2 points per panel")
     if length <= 0:
         raise ConfigurationError("quadrature length must be positive")
-    x, wref = np.polynomial.legendre.leggauss(points_per_panel)
-    part = _partial_panel_matrix(x)
+    x, wref, part = _panel_rule(int(points_per_panel))
     width = length / panels
     half = 0.5 * width
     panel_w = half * wref

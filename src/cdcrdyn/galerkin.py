@@ -15,7 +15,9 @@ damping matrix (``assemble_K/h/fQ`` read it).  Steps run through a
 the Assembly: it precomputes H = rho core^T W + dt c F^T W F and the constant
 part of the step matrix, so a step is a few fused products and one m x m
 solve, with the same system up to round-off.  The fidelity and the damping
-model are fixed when the Stepper is built, not branched on per step.
+model are fixed when the Stepper is built, not branched on per step.  A step
+evaluates its input once, ``profile.command(t)`` at the step's end: the
+force value, or the commanded displacement with its rate and acceleration.
 
 Two assembly fidelities are provided:
 
@@ -265,7 +267,7 @@ class Stepper:
     The fidelity fixes S and the actuation vector; the damping model fixes H,
     C0 and whether the drag product D c_t is formed.  ``system`` gives the
     (lhs, rhs) that ``assemble_state_fields`` and the step algebra give, up to
-    round-off.
+    round-off; ``advance`` adds the input from one ``profile.command`` call.
     """
 
     def __init__(self, asm: Assembly, dt: float, fidelity: str):
@@ -278,9 +280,11 @@ class Stepper:
         self.load = asm.b_consistent if self.consistent else asm.b_literal
         stiffness = asm.stiffness if self.consistent else np.zeros_like(asm.stiffness)
         self.lhs0 = asm.mass + dt * dt * stiffness + dt * asm.damping0
-        # the rhs terms linear in the state, S (c + dt c_t) + C0 c_t, on [c; c_t]
-        linear = np.hstack([stiffness, dt * stiffness + asm.damping0])
-        self.linear = linear if linear.any() else None
+        # the rhs terms linear in the state, S c + (dt S + C0) c_t, each kept
+        # only when it is not zero
+        rate_matrix = dt * stiffness + asm.damping0
+        self.s_c = stiffness if stiffness.any() else None
+        self.s_ct = rate_matrix if rate_matrix.any() else None
         self.h = asm.core.T * (rho * wq)
         self.drag = asm.damping_model == "drag"
         if self.drag:   # F^T W F is added to H, not kept
@@ -290,7 +294,7 @@ class Stepper:
         # the rhs field on [sin | cos] is [-(q_x + rho j_0), q_y + rho j_1] W
         self.rho_w = np.column_stack([-rho * wq, rho * wq])
         self.q_w = np.column_stack([-wq * asm.qx_nodes, wq * asm.qy_nodes])
-        self._phi3 = asm.phi[:, None, :]
+        self._phi2 = np.repeat(asm.phi, 2, axis=0)    # each row twice, as sc.ravel()
 
     def system(self, c, c_t):
         """(lhs, rhs) of the acceleration solve, before the actuation load."""
@@ -300,11 +304,11 @@ class Stepper:
         sc = np.empty((n, 2))                          # [sin | cos] of theta
         np.sin(theta, out=sc[:, 0])
         np.cos(theta, out=sc[:, 1])
-        x = self._phi3 * sc[:, :, None]                # X as (n, 2, m)
-        hx = self.h @ x.reshape(n, 2 * m)
+        x2 = self._phi2 * sc.reshape(-1, 1)            # X, its rows as (n, 2, m)
+        hx = self.h @ x2.reshape(n, 2 * m)
         # as (2n, m), the rows pair each X block with its H X block
-        x2 = x.reshape(2 * n, m)
-        lhs = self.lhs0 + x2.T @ hx.reshape(2 * n, m)
+        lhs = x2.T @ hx.reshape(2 * n, m)
+        lhs += self.lhs0
         u = sc * theta_t[:, None]                      # theta_t [sin | cos]
         fld = self.core @ (u[:, ::-1] * theta_t[:, None])
         fld *= self.rho_w
@@ -312,8 +316,10 @@ class Stepper:
         if self.drag:   # D c_t = c X^T F^T W F [theta_t sin | theta_t cos], blocks summed
             fld -= self.fwd.T @ (self.c_w * (self.fwd @ u))
         rhs = x2.T @ fld.reshape(-1)
-        if self.linear is not None:
-            rhs -= self.linear @ np.concatenate((c, c_t))
+        if self.s_c is not None:
+            rhs -= self.s_c @ c
+        if self.s_ct is not None:
+            rhs -= self.s_ct @ c_t
         return lhs, rhs
 
     def advance(self, state: ModalState, profile: ActuationProfile):
@@ -321,17 +327,17 @@ class Stepper:
         lhs, rhs = self.system(state.c, state.c_t)
         dt = self.dt
         t_next = state.t + dt
+        command = profile.command(t_next)
         if profile.mode == DISPLACEMENT:
             if not self.consistent:
                 raise ConfigurationError(f"{self.fidelity} fidelity takes force input only")
             w = self.w_cable
-            c_tt, lam = constrained_solve(
-                lhs, rhs, w, w, (profile.value(t_next), profile.rate(t_next),
-                                 profile.accel(t_next)), w @ state.c, w @ state.c_t)
+            c_tt, lam = constrained_solve(lhs, rhs, w, w, command, w @ state.c, w @ state.c_t)
             gam = 0.5 * lam
         else:
-            gam = -0.5 * profile.value(t_next)
-            c_tt = solve(lhs, rhs + gam * self.load)
+            gam = -0.5 * command[0]
+            rhs += gam * self.load
+            c_tt = solve(lhs, rhs)
         c_t_new = state.c_t + dt * c_tt
         c_new = state.c + dt * c_t_new
         return ModalState(t=t_next, c=c_new, c_t=c_t_new, c_tt_last=c_tt), gam

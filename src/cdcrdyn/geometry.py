@@ -63,8 +63,9 @@ class MaterialParams:
 class GeometryProfile:
     """One spatial profile: constant, diameter taper or cubic spacing.
 
-    A diameter taper stores the end diameters and is evaluated differently for
-    I(s) and A(s); the cubic kind is only meaningful for the cable spacing.
+    A diameter taper stores the end diameters, both positive and finite, and
+    is evaluated differently for I(s) and A(s); the cubic kind is only
+    meaningful for the cable spacing.
     """
 
     kind: str
@@ -73,6 +74,11 @@ class GeometryProfile:
     d1: float = 0.0
     w0: float = 0.0
     w1: float = 0.0
+
+    def __post_init__(self):
+        # a diameter that changes sign passes through zero, a hinge in the rod
+        if self.kind == "taper" and not (0 < self.d0 < math.inf and 0 < self.d1 < math.inf):
+            raise ConfigurationError("taper diameters must be positive and finite")
 
     @classmethod
     def constant(cls, value: float) -> "GeometryProfile":

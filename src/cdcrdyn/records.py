@@ -40,11 +40,11 @@ def constrained_solve(lhs, rhs, load, w, command, w_x, w_v):
     value, rate, accel = command
     alpha = CONSTRAINT_GAIN
     target = accel + 2.0 * alpha * (rate - w_v) + alpha * alpha * (value - w_x)
-    sol = solve(lhs, np.column_stack([rhs, load]))
-    denom = float(w @ sol[:, 1])
-    if abs(denom) < 1e-30:
+    sol = solve(lhs, np.array([rhs, load]).T)
+    w_free, w_load = (w @ sol).tolist()
+    if abs(w_load) < 1e-30:
         raise SolverFault("degenerate cable-constraint direction")
-    lam = (target - float(w @ sol[:, 0])) / denom
+    lam = (target - w_free) / w_load
     return sol[:, 0] + lam * sol[:, 1], lam
 
 

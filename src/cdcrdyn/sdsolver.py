@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actuation import ActuationProfile, DISPLACEMENT, FORCE
+from .actuation import ActuationProfile, FORCE
 from .basis import stacked_product
 from .errors import ConfigurationError, SolverFault
 from .galerkin import SolverOptions
@@ -223,10 +223,7 @@ def sd_simulate(model: RobotModel, profile: ActuationProfile, options: SolverOpt
     stride = max(1, int(round(options.dt * options.output_stride / dt)))
 
     t_axis = np.arange(n_steps + 1) * dt
-    cmd = np.asarray(profile.value(t_axis), dtype=float)
-    if profile.mode == DISPLACEMENT:
-        cmd_rate = np.asarray(profile.rate(t_axis), dtype=float)
-        cmd_accel = np.asarray(profile.accel(t_axis), dtype=float)
+    cmd, cmd_rate, cmd_accel = profile.command(t_axis)
 
     theta = np.zeros(ws.n)
     theta_t = np.zeros(ws.n)

@@ -119,3 +119,61 @@ def test_validation_errors():
         ActuationProfile(mode="sideways", kind="linear")
     with pytest.raises(ConfigurationError):
         ActuationProfile.decaying_sinusoid(0.0, 1.0, -0.1, 1.0, 1.0, 0.0)
+
+
+def _six_kinds():
+    return {**_all_profiles(), "step": ActuationProfile.step(3.0, 0.7)}
+
+
+def _reference_series(prof, t):
+    """(value, rate, accel) on an array of times, each kind's closed form
+    written out vectorized with np.where, independent of the pieces."""
+    a, w, d, ts, k = prof.amplitude, prof.omega, prof.decay_rate, prof.t_shift, prof.kind
+    zero = np.zeros_like(t)
+    if k == "linear":
+        return prof.slope * t + prof.offset, np.full_like(t, prof.slope), zero
+    if k == "offset_sinusoid":
+        ph = w * (t - ts)
+        return prof.offset - a * np.sin(ph), -a * w * np.cos(ph), a * w**2 * np.sin(ph)
+    if k == "step":
+        return np.where(t >= ts, a, 0.0), zero, zero
+    if k == "ramp_then_sinusoid":
+        ph, before = w * (t - ts), t < ts
+        return (np.where(before, prof.slope * t, prof.offset + a * np.sin(ph)),
+                np.where(before, prof.slope, a * w * np.cos(ph)),
+                np.where(before, 0.0, -a * w**2 * np.sin(ph)))
+    if k == "decaying_sinusoid":
+        env, before = a * np.exp(-d * t), t < ts
+        return (np.where(before, prof.offset - a * np.exp(-d * t) * np.sin(w * t), prof.hold_value),
+                np.where(before, env * (d * np.sin(w * t) - w * np.cos(w * t)), 0.0),
+                np.where(before, env * ((w**2 - d**2) * np.sin(w * t)
+                                        + 2.0 * d * w * np.cos(w * t)), 0.0))
+    tt, vv = np.asarray(prof.times), np.asarray(prof.values)
+    slopes = np.diff(vv) / np.diff(tt)
+    idx = np.clip(np.searchsorted(tt, t, side="right") - 1, 0, len(slopes) - 1)
+    return (np.interp(t, tt, vv),
+            np.where((t <= tt[0]) | (t >= tt[-1]), 0.0, slopes[idx]), zero)
+
+
+def test_command_matches_array_methods_bit_for_bit(rng):
+    # random times, t = 0, the shift itself, and times outside the tabulated range
+    for name, prof in _six_kinds().items():
+        t = np.concatenate([rng.uniform(-1.0, 8.0, 400),
+                            [0.0, prof.t_shift, np.nextafter(prof.t_shift, -1.0), -0.5, 7.5]])
+        series = (prof.value(t), prof.rate(t), prof.accel(t))
+        for got, want in zip(series, _reference_series(prof, t)):
+            assert got.dtype == float and np.array_equal(got, want), name
+        assert all(np.array_equal(a, b) for a, b in zip(prof.command(t), series)), name
+        for i, ti in enumerate(t.tolist()):
+            cmd = prof.command(ti)
+            assert all(isinstance(x, float) for x in cmd), name
+            assert cmd == (series[0][i], series[1][i], series[2][i]), (name, ti)
+            assert cmd == (prof.value(ti), prof.rate(ti), prof.accel(ti)), (name, ti)
+        # a 0-d array or an int time takes the float path
+        assert prof.command(np.float64(1.0)) == prof.command(np.array(1.0)) == prof.command(1)
+
+
+def test_scalar_parameters_are_floats():
+    prof = ActuationProfile.step(3, 1)
+    assert prof.command(2.0) == (3.0, 0.0, 0.0)
+    assert all(type(x) is float for x in prof.command(2.0))

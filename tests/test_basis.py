@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import cdcrdyn as cd
-from cdcrdyn.basis import _legendre_rows, _orthogonal_rows
+from cdcrdyn.basis import _legendre_rows, _orthogonal_rows, _panel_rule
 from cdcrdyn.errors import ConfigurationError, DomainError
 
 
@@ -175,6 +175,18 @@ def test_quadrature_matches_panel_loop(panels, points):
     for got, want in ((grid.nodes, nodes), (grid.weights, weights), (grid.fwd, fwd),
                       (grid.bwd, weights[None, :] - fwd)):
         assert np.array_equal(got, want)
+
+
+def test_panel_rule_is_shared_and_read_only():
+    # one rule per point count; a grid's own arrays stay writable and unshared
+    first = cd.make_quadrature(16, 5, 0.4)
+    assert _panel_rule(5) is _panel_rule(np.int64(5).item())
+    assert not any(arr.flags.writeable for arr in _panel_rule(5))
+    first.weights[:] = 0.0
+    first.fwd[:] = 0.0
+    again = cd.make_quadrature(16, 5, 0.4)
+    assert again.weights.sum() == pytest.approx(0.4, abs=1e-15)
+    assert np.allclose(again.fwd @ np.ones_like(again.nodes), again.nodes, atol=1e-13)
 
 
 def test_nested_upper_integral_constant(grid):

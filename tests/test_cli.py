@@ -63,6 +63,7 @@ def test_config_error_exit_code(tmp_path):
     for text in ("[model]\ndamping_coeff = nan\n", "[model]\nyoungs_modulus = inf\n",
                  "[model]\ndensity = inf\n", "[model]\nlength = inf\n",
                  "[model]\ncable_spacing = inf\n", "[model]\nsecond_moment = inf\n",
+                 "[model]\ntaper_d0 = 0.006\ntaper_d1 = -0.005\n",
                  f"[profile]\nkind = tabulated\ncsv = {bad_time}\n",
                  f"[profile]\nkind = tabulated\ncsv = {bad_value}\n"):
         cfg.write_text("[run]\nhorizon = 0.02\n" + text)

@@ -241,6 +241,38 @@ def test_stepper_matches_reference(case_id, m, damping_model, fidelity, mode, rn
         assert np.array_equal(new.c, state.c + dt * new.c_t)
 
 
+class _CountingProfile:
+    """Forwards to a profile and counts its evaluations by method."""
+
+    def __init__(self, profile):
+        self.profile, self.calls = profile, []
+
+    def __getattr__(self, name):
+        attr = getattr(self.profile, name)
+        if name not in ("command", "value", "rate", "accel"):
+            return attr
+
+        def counted(t):
+            self.calls.append(name)
+            return attr(t)
+        return counted
+
+
+@pytest.mark.parametrize("profile", [
+    ActuationProfile.decaying_sinusoid(0.3, 0.5, 0.35, TWO_PI, 4.0, 0.3),
+    ActuationProfile.ramp_then_sinusoid(0.04, 0.005, 0.0002, 0.018, TWO_PI, mode=cd.DISPLACEMENT),
+], ids=["force", "displacement"])
+def test_advance_evaluates_profile_once_per_step(profile, case1, basis6, grid):
+    asm = cd.make_assembly(case1, basis6, grid)
+    counting = _CountingProfile(profile)
+    state = ref = ModalState.rest(6)
+    for k in range(1, 11):
+        state, gam = stepper(asm, 1e-3, "consistent").advance(state, counting)
+        ref, ref_gam = stepper(asm, 1e-3, "consistent").advance(ref, profile)
+        assert counting.calls == ["command"] * k
+        assert np.array_equal(state.c, ref.c) and gam == ref_gam
+
+
 def test_stepper_cache_per_dt_and_fidelity(case1, basis6, grid):
     # the steppers are built on first use, one per (dt, fidelity), and one
     # Assembly stepped at two dt values matches two fresh Assemblies

@@ -132,7 +132,14 @@ def test_model_rejects_non_finite_geometry(case1):
     fields = dict(length=case1.length, profile_I=case1.profile_I, profile_A=case1.profile_A,
                   profile_W=case1.profile_W, material=case1.material, load=case1.load)
     for name, value in (("length", math.inf), ("profile_I", cd.GeometryProfile.constant(math.inf)),
-                        ("profile_A", cd.GeometryProfile.diameter_taper(math.inf, 0.004)),
                         ("profile_W", cd.GeometryProfile.cubic_spacing(0.04, math.inf))):
         with pytest.raises(ConfigurationError):
             cd.RobotModel(**{**fields, name: value})
+
+
+def test_taper_diameters_must_be_positive():
+    # a sign change puts a zero diameter, a hinge, between the model's probe points
+    for d0, d1 in ((0.006, -0.005), (-0.006, 0.005), (-0.006, -0.005), (0.0, 0.005),
+                   (0.006, 0.0), (math.inf, 0.004), (0.006, math.nan)):
+        with pytest.raises(ConfigurationError, match="taper diameters"):
+            cd.GeometryProfile.diameter_taper(d0, d1)
