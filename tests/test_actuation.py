@@ -156,9 +156,10 @@ def _reference_series(prof, t):
 
 
 def test_command_matches_array_methods_bit_for_bit(rng):
-    # random times, t = 0, the shift itself, and times outside the tabulated range
+    # random times, t = 0, the shift itself, the tabulated samples and times
+    # outside their range
     for name, prof in _six_kinds().items():
-        t = np.concatenate([rng.uniform(-1.0, 8.0, 400),
+        t = np.concatenate([rng.uniform(-1.0, 8.0, 400), prof.times,
                             [0.0, prof.t_shift, np.nextafter(prof.t_shift, -1.0), -0.5, 7.5]])
         series = (prof.value(t), prof.rate(t), prof.accel(t))
         for got, want in zip(series, _reference_series(prof, t)):
