@@ -180,7 +180,7 @@ def test_quadrature_matches_panel_loop(panels, points):
 def test_panel_rule_is_shared_and_read_only():
     # one rule per point count; a grid's own arrays stay writable and unshared
     first = cd.make_quadrature(16, 5, 0.4)
-    assert _panel_rule(5) is _panel_rule(np.int64(5).item())
+    assert _panel_rule(5) is _panel_rule(5)
     assert not any(arr.flags.writeable for arr in _panel_rule(5))
     first.weights[:] = 0.0
     first.fwd[:] = 0.0
