@@ -4,7 +4,7 @@ A profile is an immutable value object evaluatable at scalar or array times.
 First and second time derivatives are provided analytically per kind; the
 displacement-mode solver needs them for constraint stabilization.  Each kind
 is written once, as (value, rate, accel) on its pieces before and from
-``t_shift`` (a tabulated profile bisects its samples for a float t).  ``command(t)`` returns all three: for a float t it branches in
+``t_shift``.  ``command(t)`` returns all three: for a float t it branches in
 Python and calls numpy ufuncs on floats (about a microsecond), which is what a
 modal step calls, once per step; ``value``, ``rate`` and ``accel`` are its
 three parts, on floats or arrays.
@@ -12,7 +12,6 @@ three parts, on floats or arrays.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import math
 from dataclasses import dataclass
@@ -154,16 +153,11 @@ def _decaying_sinusoid(p, t):
 
 
 def _tabulated(p, t):
-    tt, vv = p.times, p.values
-    if isinstance(t, float):   # per step: one bisection, no array calls on the samples
-        rate = 0.0
-        if tt[0] < t < tt[-1]:
-            j = bisect.bisect_right(tt, t)
-            rate = (vv[j] - vv[j - 1]) / (tt[j] - tt[j - 1])
-        return float(np.interp(t, tt, vv)), rate, 0.0
-    slopes = np.diff(vv) / np.diff(tt)
-    idx = np.clip(np.searchsorted(tt, t, side="right") - 1, 0, len(slopes) - 1)
-    return np.interp(t, tt, vv), np.where((t <= tt[0]) | (t >= tt[-1]), 0.0, slopes[idx]), 0.0
+    tt, vv, ta = np.array(p.times), np.array(p.values), np.asarray(t)
+    j = np.minimum(np.maximum(np.searchsorted(tt, ta, side="right"), 1), len(tt) - 1)
+    slope = (vv[j] - vv[j - 1]) / (tt[j] - tt[j - 1])
+    parts = (np.interp(ta, tt, vv), np.where((ta <= tt[0]) | (ta >= tt[-1]), 0.0, slope), 0.0)
+    return tuple(float(x) for x in parts) if isinstance(t, float) else parts
 
 
 _PIECES = {   # kind -> (piece for t < t_shift, piece for t >= t_shift)

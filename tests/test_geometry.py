@@ -132,6 +132,7 @@ def test_model_rejects_non_finite_geometry(case1):
     fields = dict(length=case1.length, profile_I=case1.profile_I, profile_A=case1.profile_A,
                   profile_W=case1.profile_W, material=case1.material, load=case1.load)
     for name, value in (("length", math.inf), ("profile_I", cd.GeometryProfile.constant(math.inf)),
+                        ("profile_A", cd.GeometryProfile.constant(math.inf)),
                         ("profile_W", cd.GeometryProfile.cubic_spacing(0.04, math.inf))):
         with pytest.raises(ConfigurationError):
             cd.RobotModel(**{**fields, name: value})
