@@ -15,7 +15,12 @@ channel's largest magnitude.  The runs:
 within the 0.3 s, and it amplifies round-off by ~1e8.  A change that only
 reorders floating-point operations (reassociating a matrix product) moves
 its channels by ~1e-8 of their size, past the tolerance, while every other
-run stays within ~1e-11; such a change regenerates the file too.
+run stays within ~1e-11; such a change regenerates the file too.  Nor are
+the literal runs converged in the quadrature grid: moving the default grid
+from 16 x 5 to 4 x 10 Gauss-Legendre points moved six of the nine by more
+than their own size (up to 1.9 times, ``literal/case1_step/u_bend``), while
+every modal run moved by at most 6.7e-11 of its size.  Their stored values
+pin one grid's behaviour, not a converged trajectory.
 
 Every record channel is kept at every 10th sample and at the last one; shape
 channels at every 10th shape row and arc-length point, and the last of each.  A change that moves the
@@ -66,20 +71,28 @@ def _rows(size: int) -> np.ndarray:
     return np.r_[np.arange(0, size - 1, EVERY), size - 1] if size else np.arange(0)
 
 
+def channels(rec) -> dict:
+    """The kept rows of one record's channels, keyed by channel, plus nc_step
+    (-1: converged)."""
+    out = {}
+    rows = _rows(rec.t.size)
+    for ch in SAMPLE_CHANNELS:
+        out[ch] = np.asarray(getattr(rec, ch))[rows]
+    rows = _rows(rec.shape_t.size)
+    out["shape_t"] = rec.shape_t[rows]
+    cols = _rows(rec.shape_s.size)
+    for ch in SHAPE_CHANNELS:
+        out[ch] = np.asarray(getattr(rec, ch))[rows][:, cols]
+    out["nc_step"] = np.array(-1 if rec.nc_step is None else rec.nc_step)
+    return out
+
+
 def fingerprint() -> dict:
-    """Channel arrays keyed '<run>/<channel>', plus '<run>/nc_step' (-1: converged)."""
+    """Channel arrays keyed '<run>/<channel>', plus '<run>/nc_step'."""
     out = {}
     for name, solver, scenario in runs():
         rec = cd.run_scenario(scenario, solver)
-        rows = _rows(rec.t.size)
-        for ch in SAMPLE_CHANNELS:
-            out[f"{name}/{ch}"] = np.asarray(getattr(rec, ch))[rows]
-        rows = _rows(rec.shape_t.size)
-        out[f"{name}/shape_t"] = rec.shape_t[rows]
-        cols = _rows(rec.shape_s.size)
-        for ch in SHAPE_CHANNELS:
-            out[f"{name}/{ch}"] = np.asarray(getattr(rec, ch))[rows][:, cols]
-        out[f"{name}/nc_step"] = np.array(-1 if rec.nc_step is None else rec.nc_step)
+        out.update((f"{name}/{ch}", value) for ch, value in channels(rec).items())
     return out
 
 

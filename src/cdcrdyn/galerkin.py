@@ -9,13 +9,22 @@ nested double integrals run as one forward plus one backward cumulative pass
 over the quadrature grid; the Assembly folds them, with the cross-section
 area between them, into one n x n operator ``core``.
 
+The default grid is 4 panels of 10 Gauss-Legendre points (n = 40), a rule
+exact to degree 19 per panel.  ``scripts/grid_sweep.py`` found it closer
+to a 32 x 10 grid than the earlier 16 x 5 (n = 80) at every order of the
+orthonormal basis.  With the raw monomial basis it is up to 1.7x farther at
+m = 4, 6 and 8, and two m = 6 cells (up to 3.1x the round-off floor) pass
+only through the script's 10x floor factor (README, "Quadrature grid").
+Its steps cost 22-28% less (BENCH_4.json).
+
 ``assemble_state_fields`` is the reference assembly of K, h, f_Q and the
 damping matrix (``assemble_K/h/fQ`` read it).  Steps run through a
 ``Stepper`` instead, built on first use for each (dt, fidelity) and cached on
-the Assembly: it precomputes H = rho core^T W + dt c F^T W F and the constant
-part of the step matrix, so a step is a few fused products and one m x m
-solve, with the same system up to round-off.  The fidelity and the damping
-model are fixed when the Stepper is built, not branched on per step.  A step
+the Assembly: it precomputes H = rho core^T W + dt G, with the drag operator
+G = c F^T W F, the rhs operator [rho W core | -G] and the constant part of
+the step matrix, so a step is a few fused products and one m x m solve, with
+the same system up to round-off.  The fidelity and the damping model are
+fixed when the Stepper is built, not branched on per step.  A step
 evaluates its input once, ``profile.command(t)`` at the step's end: the
 force value, or the commanded displacement with its rate and acceleration.
 
@@ -72,8 +81,8 @@ class SolverOptions:
     fidelity: str = "consistent"
     m: int = 6
     basis_kind: str = "orthonormal"
-    panels: int = 16
-    points_per_panel: int = 5
+    panels: int = 4
+    points_per_panel: int = 10
     damping_model: str = "drag"
     output_stride: int = 10
     sd_nodes: int = 201
@@ -262,10 +271,13 @@ class Stepper:
     With X = [Phi sin(theta) | Phi cos(theta)], W = diag(grid weights) and
     F = ``grid.fwd``, the step matrix M + rho K + dt D (+ dt^2 S) is ``lhs0``
     plus the sum of the two diagonal m x m blocks of X^T H X, where
-        H    = rho core^T W + dt c F^T W F   (the F^T W F term for drag only),
-        lhs0 = M + dt^2 S + dt C0            (S if consistent, C0 if pointwise).
-    The fidelity fixes S and the actuation vector; the damping model fixes H,
-    C0 and whether the drag product D c_t is formed.  ``system`` gives the
+        G    = c F^T W F                    (drag; zero for the other models),
+        H    = rho core^T W + dt G,
+        lhs0 = M + dt^2 S + dt C0           (S if consistent, C0 if pointwise).
+    The drag force D c_t = X^T G [theta_t sin | theta_t cos] (blocks summed)
+    rides in the rhs field with the Coriolis term, as one product of the
+    (n, 2n) operator [rho W core | -G].  The fidelity fixes S and the
+    actuation vector; the damping model fixes G and C0.  ``system`` gives the
     (lhs, rhs) that ``assemble_state_fields`` and the step algebra give, up to
     round-off; ``advance`` adds the input from one ``profile.command`` call.
     """
@@ -273,26 +285,23 @@ class Stepper:
     def __init__(self, asm: Assembly, dt: float, fidelity: str):
         wq = asm.grid.weights
         rho = asm.model.material.density
-        c_damp = asm.model.material.damping_coeff
         self.dt, self.fidelity = dt, fidelity
         self.consistent = fidelity == "consistent"
-        self.phi, self.core, self.w_cable = asm.phi, asm.core, asm.w_cable
+        self.phi, self.w_cable = asm.phi, asm.w_cable
         self.load = asm.b_consistent if self.consistent else asm.b_literal
         stiffness = asm.stiffness if self.consistent else np.zeros_like(asm.stiffness)
         self.lhs0 = asm.mass + dt * dt * stiffness + dt * asm.damping0
-        # the rhs terms linear in the state, S c + (dt S + C0) c_t, each kept
-        # only when it is not zero
-        rate_matrix = dt * stiffness + asm.damping0
-        self.s_c = stiffness if stiffness.any() else None
-        self.s_ct = rate_matrix if rate_matrix.any() else None
-        self.h = asm.core.T * (rho * wq)
-        self.drag = asm.damping_model == "drag"
-        if self.drag:   # F^T W F is added to H, not kept
-            fwd = asm.grid.fwd
-            self.h += fwd.T @ ((dt * c_damp * wq)[:, None] * fwd)
-            self.fwd, self.c_w = fwd, (c_damp * wq)[:, None]
-        # the rhs field on [sin | cos] is [-(q_x + rho j_0), q_y + rho j_1] W
-        self.rho_w = np.column_stack([-rho * wq, rho * wq])
+        # the rhs terms linear in the state, S c + (dt S + C0) c_t
+        self.s_c = stiffness
+        self.s_ct = dt * stiffness + asm.damping0
+        fwd = asm.grid.fwd
+        c_drag = asm.model.material.damping_coeff if asm.damping_model == "drag" else 0.0
+        g = fwd.T @ ((c_drag * wq)[:, None] * fwd)     # G = c F^T W F
+        rho_core = (rho * wq)[:, None] * asm.core
+        self.h = rho_core.T + dt * g
+        # the rhs field on [sin | cos] is this (n, 2n) operator on
+        # [theta_t^2 (-cos | sin) ; theta_t (sin | cos)], plus [-q_x | q_y] W
+        self.field_op = np.hstack([rho_core, -g])
         self.q_w = np.column_stack([-wq * asm.qx_nodes, wq * asm.qy_nodes])
         self._phi2 = np.repeat(asm.phi, 2, axis=0)    # each row twice, as sc.ravel()
 
@@ -309,17 +318,15 @@ class Stepper:
         # as (2n, m), the rows pair each X block with its H X block
         lhs = x2.T @ hx.reshape(2 * n, m)
         lhs += self.lhs0
-        u = sc * theta_t[:, None]                      # theta_t [sin | cos]
-        fld = self.core @ (u[:, ::-1] * theta_t[:, None])
-        fld *= self.rho_w
+        y = np.empty((2 * n, 2))
+        np.multiply(sc, theta_t[:, None], out=y[n:])   # theta_t [sin | cos]
+        np.multiply(y[n:, ::-1], theta_t[:, None], out=y[:n])
+        y[:n, 0] *= -1.0                               # theta_t^2 [-cos | sin]
+        fld = self.field_op @ y
         fld += self.q_w
-        if self.drag:   # D c_t = c X^T F^T W F [theta_t sin | theta_t cos], blocks summed
-            fld -= self.fwd.T @ (self.c_w * (self.fwd @ u))
         rhs = x2.T @ fld.reshape(-1)
-        if self.s_c is not None:
-            rhs -= self.s_c @ c
-        if self.s_ct is not None:
-            rhs -= self.s_ct @ c_t
+        rhs -= self.s_c @ c
+        rhs -= self.s_ct @ c_t
         return lhs, rhs
 
     def advance(self, state: ModalState, profile: ActuationProfile):
@@ -390,7 +397,7 @@ def simulate(model: RobotModel, profile: ActuationProfile, options: SolverOption
 
     kept, compute_seconds, nc_step, nc_reason = run_loop(
         int(round(options.t_end / options.dt)), options.output_stride, advance,
-        lambda: asm.phi_L @ state.c)
+        lambda: abs(asm.phi_L @ state.c))
     c_pre, sampled, gam = zip(first, *kept)
     c_pre = np.array(c_pre)
     c = np.array([st.c for st in sampled])

@@ -246,8 +246,8 @@ def sd_simulate(model: RobotModel, profile: ActuationProfile, options: SolverOpt
         theta = theta + dt * theta_t
         return theta, theta_t, accel, applied
 
-    kept, compute_seconds, nc_step, nc_reason = run_loop(n_steps, stride, advance,
-                                                         lambda: theta)
+    kept, compute_seconds, nc_step, nc_reason = run_loop(
+        n_steps, stride, advance, lambda: np.max(np.abs(theta)))
     states, rates, accels, applied = (np.array(col) for col in zip(first, *kept))
     if profile.mode == FORCE:
         gamma, slope = -0.5 * applied, ws.slope_per_force * applied

@@ -177,6 +177,19 @@ def test_quadrature_matches_panel_loop(panels, points):
         assert np.array_equal(got, want)
 
 
+def test_ten_point_panel_rule_integrates_monomials():
+    # the default grid's 10-point rule is exact to degree 19, so its cumulative
+    # operators integrate s^0..s^9 to round-off: a check on the Vandermonde
+    # inverse behind the partial-panel matrix at this point count
+    length = 0.4
+    grid = cd.make_quadrature(4, 10, length)
+    s = grid.nodes
+    for k in range(10):
+        for op, exact in ((grid.fwd, s**(k + 1) / (k + 1)),
+                          (grid.bwd, (length**(k + 1) - s**(k + 1)) / (k + 1))):
+            assert np.abs(op @ s**k - exact).max() <= 1e-13 * np.abs(exact).max()
+
+
 def test_panel_rule_is_shared_and_read_only():
     # one rule per point count; a grid's own arrays stay writable and unshared
     first = cd.make_quadrature(16, 5, 0.4)

@@ -151,3 +151,9 @@ def test_readme_config_example_is_live():
     documented.read_string(block)
     assert set(_OPTION_KEYS) <= {(section, key) for section in documented.sections()
                                  for key in documented[section]}
+    # and its [galerkin] and [sd] values are the defaults, so a default change
+    # cannot leave the example stale
+    defaults = cd.SolverOptions()
+    for (section, key), (name, _) in _OPTION_KEYS.items():
+        if section in ("galerkin", "sd"):
+            assert getattr(cfg.options, name) == getattr(defaults, name), (section, key)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -569,3 +570,25 @@ def test_lambda_diagnostics_recorded(case1):
     tail = record.t >= 0.3
     assert np.all(np.isfinite(record.lambda_pre[tail]))
     assert np.all(np.isfinite(record.lambda_post[tail]))
+
+
+# The default grid's largest tip distance (m) from a 32 x 10 run over 0.2 s,
+# as measured: case2_step is the worst cell of the grid sweep
+# (scripts/grid_sweep.py).  caseD sits at the round-off floor (5e-16 m, a few
+# ulp of a 0.4 m tip), so its bound is round-off of the tip's size alone.
+GRID_DISTANCE = {("case2_step", 6): 1.1e-13, ("case2_step", 10): 4.8e-12,
+                 ("caseD", 6): 0.0, ("caseD", 10): 0.0}
+GRID_MARGIN = 10.0
+GRID_ROUNDOFF = 1e-14
+
+
+@pytest.mark.parametrize("scenario_id, m", sorted(GRID_DISTANCE))
+def test_default_grid_has_converged(scenario_id, m):
+    sc = cd.scenario_by_id(scenario_id)
+    sc = replace(sc, horizon=0.2, options=replace(sc.options, m=m))
+    fine = replace(sc, options=replace(sc.options, panels=32, points_per_panel=10))
+    default, reference = cd.run_scenario(sc), cd.run_scenario(fine)
+    assert default.ok and reference.ok
+    distance = np.max(np.hypot(default.tip_x - reference.tip_x, default.tip_y - reference.tip_y))
+    size = np.max(np.hypot(reference.tip_x, reference.tip_y))
+    assert distance <= max(GRID_MARGIN * GRID_DISTANCE[scenario_id, m], GRID_ROUNDOFF * size)

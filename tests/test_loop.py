@@ -82,3 +82,14 @@ def test_mirror_symmetry(model, damping, mode, solver, amplitude):
     scale = np.abs(rec.states).max()
     assert scale > 0
     assert np.abs(rec.states + mir.states).max() <= 1e-12 * scale
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_overflow_stops_the_run_as_non_finite(case1, solver):
+    # a force of 1e308 overflows the first step's load to inf: the check stops
+    # the run on the non-finite state, not on the angle limit
+    options = cd.SolverOptions(t_end=HORIZON, sd_nodes=51, sd_dt=2e-4)
+    record = _run(solver, case1, ActuationProfile.step(1e308), options)
+    assert record.nc_step == 1
+    assert record.nc_reason == "non-finite state"
