@@ -24,7 +24,8 @@ pin one grid's behaviour, not a converged trajectory.
 
 Every record channel is kept at every 10th sample and at the last one; shape
 channels at every 10th shape row and arc-length point, and the last of each.  A change that moves the
-numerics on purpose regenerates the file and reports the measured shift.
+numerics on purpose regenerates the file and reports the measured shift,
+which ``scripts/fingerprint_shift.py OLD.npz NEW.npz`` prints per key family.
 """
 
 from __future__ import annotations

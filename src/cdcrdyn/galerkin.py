@@ -23,8 +23,10 @@ damping matrix (``assemble_K/h/fQ`` read it).  Steps run through a
 the Assembly: it precomputes H = rho core^T W + dt G, with the drag operator
 G = c F^T W F, the rhs operator [rho W core | -G] and the constant part of
 the step matrix, so a step is a few fused products and one m x m solve, with
-the same system up to round-off.  The fidelity and the damping model are
-fixed when the Stepper is built, not branched on per step.  A step
+the same system up to round-off.  Step-path products use ``ndarray.dot``:
+the same BLAS call and bits as ``@``, at less cost per call (``step_us_p50``
+on disp_track 35.2 -> 30.5 us, BENCH_5.json).  The fidelity and the damping
+model are fixed when the Stepper is built, not branched on per step.  A step
 evaluates its input once, ``profile.command(t)`` at the step's end: the
 force value, or the commanded displacement with its rate and acceleration.
 
@@ -307,26 +309,29 @@ class Stepper:
 
     def system(self, c, c_t):
         """(lhs, rhs) of the acceleration solve, before the actuation load."""
+        # Step-path products use ndarray.dot, not @: on these 1-D and 2-D
+        # operands it makes the same BLAS call with the same bits, at
+        # 0.4-0.6 us less fixed cost per call, up to half of a product's time.
         n, m = self.phi.shape
-        theta = self.phi @ c
-        theta_t = self.phi @ c_t
+        theta = self.phi.dot(c)
+        theta_t = self.phi.dot(c_t)
         sc = np.empty((n, 2))                          # [sin | cos] of theta
         np.sin(theta, out=sc[:, 0])
         np.cos(theta, out=sc[:, 1])
         x2 = self._phi2 * sc.reshape(-1, 1)            # X, its rows as (n, 2, m)
-        hx = self.h @ x2.reshape(n, 2 * m)
+        hx = self.h.dot(x2.reshape(n, 2 * m))
         # as (2n, m), the rows pair each X block with its H X block
-        lhs = x2.T @ hx.reshape(2 * n, m)
+        lhs = x2.T.dot(hx.reshape(2 * n, m))
         lhs += self.lhs0
         y = np.empty((2 * n, 2))
         np.multiply(sc, theta_t[:, None], out=y[n:])   # theta_t [sin | cos]
         np.multiply(y[n:, ::-1], theta_t[:, None], out=y[:n])
         y[:n, 0] *= -1.0                               # theta_t^2 [-cos | sin]
-        fld = self.field_op @ y
+        fld = self.field_op.dot(y)
         fld += self.q_w
-        rhs = x2.T @ fld.reshape(-1)
-        rhs -= self.s_c @ c
-        rhs -= self.s_ct @ c_t
+        rhs = x2.T.dot(fld.reshape(-1))
+        rhs -= self.s_c.dot(c)
+        rhs -= self.s_ct.dot(c_t)
         return lhs, rhs
 
     def advance(self, state: ModalState, profile: ActuationProfile):
@@ -339,7 +344,8 @@ class Stepper:
             if not self.consistent:
                 raise ConfigurationError(f"{self.fidelity} fidelity takes force input only")
             w = self.w_cable
-            c_tt, lam = constrained_solve(lhs, rhs, w, w, command, w @ state.c, w @ state.c_t)
+            c_tt, lam = constrained_solve(lhs, rhs, w, w, command, w.dot(state.c),
+                                          w.dot(state.c_t))
             gam = 0.5 * lam
         else:
             gam = -0.5 * command[0]
@@ -367,7 +373,7 @@ def step(state: ModalState, asm: Assembly, profile: ActuationProfile,
     c, c_t = new_state.c, new_state.c_t
     # any inf or nan entry makes c . c_t non-finite; only an overflow of finite
     # entries needs the entry-wise check
-    if not math.isfinite(c @ c_t) and not (np.isfinite(c).all() and np.isfinite(c_t).all()):
+    if not math.isfinite(c.dot(c_t)) and not (np.isfinite(c).all() and np.isfinite(c_t).all()):
         raise SolverFault("non-finite modal state")
     return new_state
 
@@ -397,7 +403,7 @@ def simulate(model: RobotModel, profile: ActuationProfile, options: SolverOption
 
     kept, compute_seconds, nc_step, nc_reason = run_loop(
         int(round(options.t_end / options.dt)), options.output_stride, advance,
-        lambda: abs(asm.phi_L @ state.c))
+        lambda: abs(asm.phi_L.dot(state.c)))
     c_pre, sampled, gam = zip(first, *kept)
     c_pre = np.array(c_pre)
     c = np.array([st.c for st in sampled])

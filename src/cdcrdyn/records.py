@@ -42,7 +42,7 @@ def constrained_solve(lhs, rhs, load, w, command, w_x, w_v):
     alpha = CONSTRAINT_GAIN
     target = accel + 2.0 * alpha * (rate - w_v) + alpha * alpha * (value - w_x)
     sol = solve(lhs, np.array([rhs, load]).T)
-    w_free, w_load = (w @ sol).tolist()
+    w_free, w_load = w.dot(sol).tolist()
     if abs(w_load) < 1e-30:
         raise SolverFault("degenerate cable-constraint direction")
     lam = (target - w_free) / w_load
