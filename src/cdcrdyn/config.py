@@ -33,7 +33,6 @@ _OPTION_KEYS = {
     ("galerkin", "panels"): ("panels", int),
     ("galerkin", "points_per_panel"): ("points_per_panel", int),
     ("galerkin", "basis"): ("basis_kind", str),
-    ("galerkin", "damping_model"): ("damping_model", str),
     ("sd", "nodes"): ("sd_nodes", int),
     ("sd", "dt"): ("sd_dt", float),
 }

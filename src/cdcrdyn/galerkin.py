@@ -18,17 +18,17 @@ only through the script's 10x floor factor (README, "Quadrature grid").
 Its steps cost 22-28% less (BENCH_4.json).
 
 ``assemble_state_fields`` is the reference assembly of K, h, f_Q and the
-damping matrix (``assemble_K/h/fQ`` read it).  Steps run through a
+drag matrix (``assemble_K/h/fQ`` read it).  Steps run through a
 ``Stepper`` instead, built on first use for each (dt, fidelity) and cached on
 the Assembly: it precomputes H = rho core^T W + dt G, with the drag operator
 G = c F^T W F, the rhs operator [rho W core | -G] and the constant part of
 the step matrix, so a step is a few fused products and one m x m solve, with
 the same system up to round-off.  Step-path products use ``ndarray.dot``:
 the same BLAS call and bits as ``@``, at less cost per call (``step_us_p50``
-on disp_track 35.2 -> 30.5 us, BENCH_5.json).  The fidelity and the damping
-model are fixed when the Stepper is built, not branched on per step.  A step
-evaluates its input once, ``profile.command(t)`` at the step's end: the
-force value, or the commanded displacement with its rate and acceleration.
+on disp_track 35.2 -> 30.5 us, BENCH_5.json).  The fidelity is fixed when
+the Stepper is built, not branched on per step.  A step evaluates its input
+once, ``profile.command(t)`` at the step's end: the force value, or the
+commanded displacement with its rate and acceleration.
 
 Two assembly fidelities are provided:
 
@@ -40,9 +40,11 @@ Two assembly fidelities are provided:
                    (a displacement-input step raises ConfigurationError): no
                    bending-stiffness matrix, actuation load Gamma W(0) int(Phi).
 
-Stiffness and damping contributions are treated semi-implicitly (evaluated at
-the end-of-step velocity/position predicted from the unknown acceleration),
-which keeps the default dt stable without changing the update order.
+Dissipation is one Rayleigh term, the drag R = c/2 int (x_t^2 + y_t^2) ds
+with c the model's ``damping_coeff``; c = 0 is an undamped run.  Stiffness
+and drag are treated semi-implicitly (evaluated at the end-of-step
+velocity/position predicted from the unknown acceleration), which keeps the
+default dt stable without changing the update order.
 
 Displacement input enforces the cable constraint w_cable . c = delta_l(t) by
 the Baumgarte-stabilized KKT solve the SD solver shares
@@ -59,6 +61,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -71,7 +74,6 @@ from .kinematics import sampled_record
 from .records import SimulationRecord, constrained_solve, run_loop, solve
 
 FIDELITIES = ("literal", "consistent")
-DAMPING_MODELS = ("drag", "pointwise", "none")
 
 
 @dataclass
@@ -85,10 +87,10 @@ class SolverOptions:
     basis_kind: str = "orthonormal"
     panels: int = 4
     points_per_panel: int = 10
-    damping_model: str = "drag"
     output_stride: int = 10
     sd_nodes: int = 201
     sd_dt: float = 2e-4
+    damping_model: ClassVar[str] = "drag"    # the only law, read by perfbench
 
     def __post_init__(self):
         for name in ("dt", "sd_dt", "t_end"):
@@ -106,8 +108,6 @@ class SolverOptions:
             raise ConfigurationError(f"unknown basis kind {self.basis_kind!r}")
         if self.panels < 1 or self.points_per_panel < 2:
             raise ConfigurationError("need at least 1 panel and 2 points per panel")
-        if self.damping_model not in DAMPING_MODELS:
-            raise ConfigurationError(f"unknown damping model {self.damping_model!r}")
         if self.output_stride < 1:
             raise ConfigurationError("output_stride must be at least 1")
         if self.sd_nodes < 51:
@@ -135,7 +135,6 @@ class Assembly:
     model: RobotModel
     basis: ModalBasis
     grid: QuadratureGrid
-    damping_model: str
     phi: np.ndarray          # (n, m)
     dphi: np.ndarray         # (n, m)
     phi_L: np.ndarray        # (m,)
@@ -146,12 +145,12 @@ class Assembly:
     il: float
     mass: np.ndarray         # (m, m) rho * int I Phi Phi^T
     stiffness: np.ndarray    # (m, m) E * int I Phi_s Phi_s^T
-    damping0: np.ndarray     # (m, m) constant damping matrix (pointwise model)
     b_literal: np.ndarray    # (m,) W(0) * int Phi
     b_consistent: np.ndarray  # (m,) W(L) Phi(L) - int W_s Phi
     w_cable: np.ndarray      # (m,) d(delta_l)/dc = (1/2) int W Phi_s
     core: np.ndarray         # (n, n) bwd diag(A) fwd: int_s^L A(xi) int_0^xi . dxi
     steppers: dict = field(default_factory=dict, init=False, repr=False)  # (dt, fidelity)
+    damping_model: ClassVar[str] = "drag"    # the only law, read by perfbench
 
 
 def _mass_matrix(rho, weights, i_n, phi) -> np.ndarray:
@@ -171,8 +170,9 @@ def assemble_mass(model: RobotModel, basis: ModalBasis, grid: QuadratureGrid) ->
 
 def make_assembly(model: RobotModel, basis: ModalBasis, grid: QuadratureGrid,
                   damping_model: str = "drag") -> Assembly:
-    if damping_model not in DAMPING_MODELS:
-        raise ConfigurationError(f"unknown damping model {damping_model!r}")
+    if damping_model != "drag":
+        raise ConfigurationError(f"unknown damping model {damping_model!r}: drag is the "
+                                 "only one; set damping_coeff = 0 to run undamped")
     nodes = grid.nodes
     wq = grid.weights
     # one basis pass over the nodes and the tip, copied out in the layouts that
@@ -186,20 +186,15 @@ def make_assembly(model: RobotModel, basis: ModalBasis, grid: QuadratureGrid,
     ws_n = model.eval_W_s(nodes)
     qx, qy = model.cumulative_load(nodes)
     e_mod = model.material.youngs_modulus
-    c_damp = model.material.damping_coeff
     mass = _mass_matrix(model.material.density, wq, i_n, phi)
     stiff = e_mod * dphi.T @ (wq[:, None] * i_n[:, None] * dphi)
-    if damping_model == "pointwise":
-        damping0 = c_damp * phi.T @ (wq[:, None] * phi)
-    else:
-        damping0 = np.zeros((basis.order, basis.order))
     wl = model.eval_W(model.length)
     return Assembly(
-        model=model, basis=basis, grid=grid, damping_model=damping_model,
+        model=model, basis=basis, grid=grid,
         phi=phi, dphi=dphi, phi_L=phi_l, dphi_L=dphi_l,
         qx_nodes=qx, qy_nodes=qy,
         wl=wl, il=model.eval_I(model.length),
-        mass=mass, stiffness=stiff, damping0=damping0,
+        mass=mass, stiffness=stiff,
         b_literal=model.eval_W(0.0) * (wq @ phi),
         b_consistent=wl * phi_l - phi.T @ (wq * ws_n),
         w_cable=0.5 * (wq * w_n) @ dphi,
@@ -208,7 +203,7 @@ def make_assembly(model: RobotModel, basis: ModalBasis, grid: QuadratureGrid,
 
 
 def assemble_state_fields(theta, theta_t, asm: Assembly):
-    """K, h, f_Q and the velocity-damping matrix for sampled angle fields.
+    """K, h, f_Q and the drag matrix for sampled angle fields.
 
     K is assembled by cumulative passes as
         K = int [sin(theta) Xi_sin + cos(theta) Xi_cos] ds,
@@ -235,13 +230,10 @@ def assemble_state_fields(theta, theta_t, asm: Assembly):
     coupling = rs.T @ (asm.phi * (wq * sn)[:, None]) + rc.T @ (asm.phi * (wq * cs)[:, None])
     coriolis = asm.phi.T @ (wq * (sn * j_s - cs * j_c))
     f_q = asm.phi.T @ (wq * (asm.qy_nodes * cs - asm.qx_nodes * sn))
-    if asm.damping_model == "drag":
-        c_damp = asm.model.material.damping_coeff
-        prefix = grid.fwd @ x[:, :2 * m]              # int_0^s Phi [sin | cos]
-        ps, pc = prefix[:, :m], prefix[:, m:]
-        damping = c_damp * (ps.T @ (wq[:, None] * ps) + pc.T @ (wq[:, None] * pc))
-    else:
-        damping = asm.damping0
+    prefix = grid.fwd @ x[:, :2 * m]                  # int_0^s Phi [sin | cos]
+    ps, pc = prefix[:, :m], prefix[:, m:]
+    damping = asm.model.material.damping_coeff * (ps.T @ (wq[:, None] * ps)
+                                                  + pc.T @ (wq[:, None] * pc))
     return coupling, coriolis, f_q, damping
 
 
@@ -273,15 +265,15 @@ class Stepper:
     With X = [Phi sin(theta) | Phi cos(theta)], W = diag(grid weights) and
     F = ``grid.fwd``, the step matrix M + rho K + dt D (+ dt^2 S) is ``lhs0``
     plus the sum of the two diagonal m x m blocks of X^T H X, where
-        G    = c F^T W F                    (drag; zero for the other models),
+        G    = c F^T W F                    (drag, c the model's damping_coeff),
         H    = rho core^T W + dt G,
-        lhs0 = M + dt^2 S + dt C0           (S if consistent, C0 if pointwise).
+        lhs0 = M + dt^2 S                   (S if consistent, else zero).
     The drag force D c_t = X^T G [theta_t sin | theta_t cos] (blocks summed)
     rides in the rhs field with the Coriolis term, as one product of the
     (n, 2n) operator [rho W core | -G].  The fidelity fixes S and the
-    actuation vector; the damping model fixes G and C0.  ``system`` gives the
-    (lhs, rhs) that ``assemble_state_fields`` and the step algebra give, up to
-    round-off; ``advance`` adds the input from one ``profile.command`` call.
+    actuation vector.  ``system`` gives the (lhs, rhs) that
+    ``assemble_state_fields`` and the step algebra give, up to round-off;
+    ``advance`` adds the input from one ``profile.command`` call.
     """
 
     def __init__(self, asm: Assembly, dt: float, fidelity: str):
@@ -292,12 +284,12 @@ class Stepper:
         self.phi, self.w_cable = asm.phi, asm.w_cable
         self.load = asm.b_consistent if self.consistent else asm.b_literal
         stiffness = asm.stiffness if self.consistent else np.zeros_like(asm.stiffness)
-        self.lhs0 = asm.mass + dt * dt * stiffness + dt * asm.damping0
-        # the rhs terms linear in the state, S c + (dt S + C0) c_t
+        self.lhs0 = asm.mass + dt * dt * stiffness
+        # the rhs terms linear in the state, S c + dt S c_t
         self.s_c = stiffness
-        self.s_ct = dt * stiffness + asm.damping0
+        self.s_ct = dt * stiffness
         fwd = asm.grid.fwd
-        c_drag = asm.model.material.damping_coeff if asm.damping_model == "drag" else 0.0
+        c_drag = asm.model.material.damping_coeff
         g = fwd.T @ ((c_drag * wq)[:, None] * fwd)     # G = c F^T W F
         rho_core = (rho * wq)[:, None] * asm.core
         self.h = rho_core.T + dt * g
@@ -387,8 +379,7 @@ def simulate(model: RobotModel, profile: ActuationProfile, options: SolverOption
     """
     asm = assembly if assembly is not None else make_assembly(
         model, ModalBasis(options.m, model.length, options.basis_kind),
-        make_quadrature(options.panels, options.points_per_panel, model.length),
-        options.damping_model)
+        make_quadrature(options.panels, options.points_per_panel, model.length))
     state = ModalState.rest(asm.basis.order)
     # sample 0: the rest state, its own diagnostic state, the t = 0 coefficient
     first = (state.c, state, -0.5 * profile.value(0.0) if profile.mode == FORCE else 0.0)

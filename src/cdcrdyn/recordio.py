@@ -72,6 +72,9 @@ def read_record_csv(path: str) -> SimulationRecord:
 
     A malformed record or shape file raises ConfigurationError, and so does a
     record with no data rows or whose t is not finite and strictly increasing.
+    The read-back ``nc_step`` is the index of the last row when that row is
+    flagged ``compute_flag = 0``, not the solver's step count: a modal
+    ``linear(3000)`` run at stride 1 that stops at step 70 reads back with 69.
     """
     with open(path, newline="") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]

@@ -4,12 +4,13 @@ The PDE is discretized on N uniform arc-length nodes (method of lines).  The
 bending-acceleration field appears inside nested inertia integrals, so every
 step assembles the dense N x N coupling operator (via trapezoid cumulative
 sums, O(N^2)) and solves one linear system for theta_tt.  The bending term
-[E I theta_s]_s and the damping term are folded into the same solve
-semi-implicitly: evaluated at the end-of-step state predicted from the
-unknown acceleration, which keeps the scheme stable at practical dt without
-changing the semi-implicit Euler update order.  Fully explicit stepping of
-the stiff bending operator would require dt below ~2 h / (pi sqrt(E/rho)),
-about 3e-6 s at N = 201 for the baseline rig.
+[E I theta_s]_s and the drag term (the model's ``damping_coeff``; 0 runs
+undamped) are folded into the same solve semi-implicitly: evaluated at the
+end-of-step state predicted from the unknown acceleration, which keeps the
+scheme stable at practical dt without changing the semi-implicit Euler
+update order.  Fully explicit stepping of the stiff bending operator would
+require dt below ~2 h / (pi sqrt(E/rho)), about 3e-6 s at N = 201 for the
+baseline rig.
 
 Boundary conditions: theta(0) = 0 pinned exactly; the natural tip moment
 balance is enforced each step through a ghost node carrying the prescribed
@@ -72,10 +73,12 @@ class SDWorkspace:
     """Precomputed grid data for one (model, N) pair."""
 
     def __init__(self, model: RobotModel, n_nodes: int, damping_model: str = "drag"):
+        if damping_model != "drag":
+            raise ConfigurationError(f"unknown damping model {damping_model!r}: drag is the "
+                                     "only one; set damping_coeff = 0 to run undamped")
         if n_nodes < 51:
             raise ConfigurationError("SD solver needs at least 51 nodes")
         self.model = model
-        self.damping_model = damping_model
         self.n = n_nodes
         self.s = np.linspace(0.0, model.length, n_nodes)
         self.h = self.s[1] - self.s[0]
@@ -156,14 +159,14 @@ class SDWorkspace:
         hit = self._lhs_cache.get(key)
         if hit is not None:
             return hit
+        # Built in this order for glibc's heap, not the arithmetic: the step's
+        # N x N temporaries then reuse freed heap.  As one expression each, the
+        # N = 201 step ran ~40% slower, its pages trimmed and faulted back each
+        # step (alike with the malloc trim and mmap thresholds pinned).
         base = self.rho * np.diag(self.i_n)
         core = self.rho * self.core_inertia
-        if dt_implicit > 0.0:
-            base = base - dt_implicit**2 * self.stiff
-            if self.damping_model == "drag":
-                core = core + dt_implicit * self.c_damp * self.core_drag
-            elif self.damping_model == "pointwise":
-                base = base + dt_implicit * self.c_damp * np.eye(self.n)
+        base = base - dt_implicit**2 * self.stiff
+        core = core + dt_implicit * self.c_damp * self.core_drag
         self._lhs_cache[key] = (base, core)
         return base, core
 
@@ -181,16 +184,8 @@ class SDWorkspace:
         j_vel = (sn * self._bwd_v(self.a_n * self._fwd_v(tt2 * cs))
                  - cs * self._bwd_v(self.a_n * self._fwd_v(tt2 * sn)))
         q_vec = self.qy * cs - self.qx * sn
-        if self.damping_model == "drag":
-            damp_rhs = self.c_damp * self.coupling_apply(sn, cs, theta_t)
-        elif self.damping_model == "pointwise":
-            damp_rhs = self.c_damp * theta_t
-        else:
-            damp_rhs = np.zeros_like(theta)
-        if dt_implicit > 0.0:
-            rhs = self.stiff @ (theta + dt_implicit * theta_t)
-        else:
-            rhs = self.stiff @ theta
+        damp_rhs = self.c_damp * self.coupling_apply(sn, cs, theta_t)
+        rhs = self.stiff @ (theta + dt_implicit * theta_t)
         rhs = rhs + q_vec - damp_rhs - self.rho * j_vel
         return lhs, rhs
 
@@ -202,7 +197,7 @@ def pde_accel(state: GridState, model: RobotModel, input_value: float, mode: str
     ``input_value`` is Delta_F (force mode) or lambda (displacement mode); the
     implicit theta_tt coupling is resolved by one dense solve.
     """
-    ws = workspace or SDWorkspace(model, options.sd_nodes, options.damping_model)
+    ws = workspace or SDWorkspace(model, options.sd_nodes)
     lhs, rhs = ws.assemble(state.theta, state.theta_t, dt_implicit=0.0)
     u = ws.u_force if mode == FORCE else ws.u_lambda
     rhs = rhs + input_value * u
@@ -216,7 +211,7 @@ def pde_accel(state: GridState, model: RobotModel, input_value: float, mode: str
 def sd_simulate(model: RobotModel, profile: ActuationProfile, options: SolverOptions,
                 scenario_id: str = "") -> SimulationRecord:
     """Run the finite-difference solver from rest; record like the modal solver."""
-    ws = SDWorkspace(model, options.sd_nodes, options.damping_model)
+    ws = SDWorkspace(model, options.sd_nodes)
     dt = options.sd_dt
     n_steps = int(round(options.t_end / dt))
     # sample at roughly the modal solver's record period

@@ -47,12 +47,14 @@ def test_config_error_exit_code(tmp_path):
                  "[galerkin]\ndt = inf\n", "[sd]\ndt = inf\n"):
         cfg.write_text(text)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2, text
-    # modal-only settings are checked on an SD run too, and the Baumgarte gain
-    # and the multiplier epsilon are constants, not keys; each of these texts
-    # would otherwise run a short SD run
+    # modal-only settings are checked on an SD run too; the Baumgarte gain,
+    # the multiplier epsilon and the damping law are fixed, not keys; each of
+    # these texts would otherwise run a short SD run
     for text in ("[galerkin]\npanels = 0\n", "[galerkin]\npoints_per_panel = 1\n",
                  "[galerkin]\nbasis = foo\n", "[galerkin]\nconstraint_gain = 20.0\n",
-                 "[galerkin]\nlambda_epsilon = 1e-8\n"):
+                 "[galerkin]\nlambda_epsilon = 1e-8\n",
+                 "[galerkin]\ndamping_model = none\n",
+                 "[galerkin]\ndamping_model = pointwise\n"):
         cfg.write_text("[run]\nhorizon = 0.01\n[sd]\nnodes = 51\n" + text)
         assert main(["run", "--config", str(cfg), "--solver", "sd",
                      "--out", str(tmp_path)]) == 2, text

@@ -121,15 +121,13 @@ _floats = st.floats(min_value=1e-6, max_value=1e3, allow_nan=False,
        dt=st.floats(min_value=1e-5, max_value=1e-2), m=st.integers(1, 10),
        repeats=st.integers(1, 20), stride=st.integers(1, 50),
        horizon=st.one_of(st.none(), _floats),
-       damping=st.sampled_from(["drag", "pointwise", "none"]),
        qy=st.floats(min_value=-5, max_value=5, allow_nan=False))
 def test_config_roundtrip(scenario, solver, fidelity, dt, m, repeats, stride,
-                          horizon, damping, qy):
+                          horizon, qy):
     cfg = RunConfig(scenario=scenario, solver=solver, repeats=repeats,
                     horizon=horizon,
                     options=cd.SolverOptions(fidelity=fidelity, dt=dt, m=m,
-                                             output_stride=stride,
-                                             damping_model=damping),
+                                             output_stride=stride),
                     model={"case": "case1", "q_y": qy},
                     profile={"kind": "step", "height": 3.0, "t0": 0.0})
     assert parse_config(serialize_config(cfg)) == cfg

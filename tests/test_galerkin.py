@@ -115,6 +115,12 @@ def test_assembly_basis_pass_matches_standalone_calls(case_id, m, kind):
     assert np.array_equal(asm.mass, cd.assemble_mass(model, basis, grid))
 
 
+def test_make_assembly_takes_drag_only(case1, raw2, grid):
+    # drag is the one damping law; an undamped run is damping_coeff = 0
+    with pytest.raises(cd.ConfigurationError, match="damping_coeff = 0"):
+        cd.make_assembly(case1, raw2, grid, "none")
+
+
 def test_coupling_straight_closed_form(asm_raw1):
     # theta = 0, constant A, raw m=1: K = A L^3 / 20
     k_mat = cd.assemble_K(np.zeros(1), asm_raw1)
@@ -164,21 +170,28 @@ def _reference_state_fields(theta, theta_t, asm):
     j_c = grid.bwd @ (a_n * (grid.fwd @ (tt2 * sn)))
     coriolis = asm.phi.T @ (wq * (sn * j_s - cs * j_c))
     f_q = asm.phi.T @ (wq * (asm.qy_nodes * cs - asm.qx_nodes * sn))
-    if asm.damping_model == "drag":
-        c_damp = asm.model.material.damping_coeff
-        damping = c_damp * (ps.T @ (wq[:, None] * ps) + pc.T @ (wq[:, None] * pc))
-    else:
-        damping = asm.damping0
+    c_damp = asm.model.material.damping_coeff
+    damping = c_damp * (ps.T @ (wq[:, None] * ps) + pc.T @ (wq[:, None] * pc))
     return coupling, coriolis, f_q, damping
+
+
+# the rig's drag coefficient, and an undamped run
+DAMPING_COEFFS = [pytest.param(cd.geometry.BASE_DAMPING, id="drag"),
+                  pytest.param(0.0, id="none")]
+
+
+def _with_damping(case_id, damping_coeff):
+    model = cd.build_case_model(case_id)
+    return replace(model, material=replace(model.material, damping_coeff=damping_coeff))
 
 
 @pytest.mark.parametrize("case_id", ["case1", "case2", "case3", "case4"])
 @pytest.mark.parametrize("m", [1, 6, 10])
-@pytest.mark.parametrize("damping_model", ["drag", "pointwise", "none"])
-def test_fused_state_fields_match_reference(case_id, m, damping_model, rng):
-    model = cd.build_case_model(case_id)
+@pytest.mark.parametrize("damping_coeff", DAMPING_COEFFS)
+def test_fused_state_fields_match_reference(case_id, m, damping_coeff, rng):
+    model = _with_damping(case_id, damping_coeff)
     asm = cd.make_assembly(model, cd.ModalBasis(m, model.length),
-                           cd.make_quadrature(16, 5, model.length), damping_model)
+                           cd.make_quadrature(16, 5, model.length))
     for _ in range(3):
         theta = asm.phi @ rng.normal(0.0, 1.0, m)
         theta_t = asm.phi @ rng.normal(0.0, 5.0, m)
@@ -203,13 +216,13 @@ def _reference_system(c, c_t, asm, dt, fidelity):
 
 @pytest.mark.parametrize("case_id", ["case1", "case2", "case3", "case4"])
 @pytest.mark.parametrize("m", [1, 6, 10])
-@pytest.mark.parametrize("damping_model", ["drag", "pointwise", "none"])
+@pytest.mark.parametrize("damping_coeff", DAMPING_COEFFS)
 @pytest.mark.parametrize("fidelity", ["consistent", "literal"])
 @pytest.mark.parametrize("mode", [cd.FORCE, cd.DISPLACEMENT])
-def test_stepper_matches_reference(case_id, m, damping_model, fidelity, mode, rng):
-    model = cd.build_case_model(case_id)
+def test_stepper_matches_reference(case_id, m, damping_coeff, fidelity, mode, rng):
+    model = _with_damping(case_id, damping_coeff)
     asm = cd.make_assembly(model, cd.ModalBasis(m, model.length),
-                           cd.make_quadrature(16, 5, model.length), damping_model)
+                           cd.make_quadrature(16, 5, model.length))
     dt = 1e-3
     stp = stepper(asm, dt, fidelity)
     profile = (ActuationProfile.offset_sinusoid(2.0, 0.5, TWO_PI, 0.3) if mode == cd.FORCE

@@ -39,9 +39,10 @@ def robots(draw):
     d1 = draw(st.floats(0.6, 1.0)) * d0
     w0 = draw(st.floats(0.02, 0.12))
     w1 = draw(st.floats(0.0, 0.8)) * w0
+    # exact zero keeps undamped runs covered
     material = cd.MaterialParams(cd.geometry.BASE_YOUNGS_MODULUS,
                                  draw(st.floats(100.0, 30000.0)),
-                                 draw(st.floats(0.0, 30.0)))
+                                 draw(st.one_of(st.just(0.0), st.floats(0.0, 30.0))))
     return cd.RobotModel(
         length=draw(st.floats(0.2, 0.5)),
         profile_I=cd.GeometryProfile.diameter_taper(d0, d1),
@@ -50,34 +51,30 @@ def robots(draw):
         material=material, load=cd.DistributedLoad(0.0, 0.0))
 
 
-def _options(damping):
-    return cd.SolverOptions(t_end=HORIZON, damping_model=damping, output_stride=5,
-                            sd_nodes=51, sd_dt=2e-4)
+OPTIONS = cd.SolverOptions(t_end=HORIZON, output_stride=5, sd_nodes=51, sd_dt=2e-4)
 
 
 @settings(max_examples=24, deadline=None)
-@given(model=robots(), damping=st.sampled_from(cd.galerkin.DAMPING_MODELS),
-       mode=st.sampled_from((cd.FORCE, cd.DISPLACEMENT)), solver=st.sampled_from(SOLVERS))
-def test_rest_invariance(model, damping, mode, solver):
-    record = _run(solver, model, ActuationProfile.linear(0.0, mode=mode), _options(damping))
+@given(model=robots(), mode=st.sampled_from((cd.FORCE, cd.DISPLACEMENT)),
+       solver=st.sampled_from(SOLVERS))
+def test_rest_invariance(model, mode, solver):
+    record = _run(solver, model, ActuationProfile.linear(0.0, mode=mode), OPTIONS)
     assert record.ok
     assert np.all(record.states == 0.0)
     assert np.all(record.rates == 0.0)
 
 
 @settings(max_examples=24, deadline=None)
-@given(model=robots(), damping=st.sampled_from(cd.galerkin.DAMPING_MODELS),
-       mode=st.sampled_from((cd.FORCE, cd.DISPLACEMENT)), solver=st.sampled_from(SOLVERS),
-       amplitude=st.floats(0.2, 1.0))
-def test_mirror_symmetry(model, damping, mode, solver, amplitude):
+@given(model=robots(), mode=st.sampled_from((cd.FORCE, cd.DISPLACEMENT)),
+       solver=st.sampled_from(SOLVERS), amplitude=st.floats(0.2, 1.0))
+def test_mirror_symmetry(model, mode, solver, amplitude):
     # with no distributed load a negated input bends the rod the other way
     scale = 0.01 if mode == cd.DISPLACEMENT else 1.0
     profile = ActuationProfile.offset_sinusoid(scale * amplitude, 0.5 * scale * amplitude,
                                                20.0, mode=mode)
     mirrored = replace(profile, offset=-profile.offset, amplitude=-profile.amplitude)
-    options = _options(damping)
-    rec = _run(solver, model, profile, options)
-    mir = _run(solver, model, mirrored, options)
+    rec = _run(solver, model, profile, OPTIONS)
+    mir = _run(solver, model, mirrored, OPTIONS)
     assert rec.ok and mir.ok
     scale = np.abs(rec.states).max()
     assert scale > 0

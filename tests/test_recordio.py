@@ -58,14 +58,17 @@ def test_record_csv_locale_independent(tmp_path, case1):
 
 
 def test_nc_record_flags_last_row(tmp_path, case1):
-    record = cd.simulate(case1, cd.ActuationProfile.step(1e9),
-                         cd.SolverOptions(t_end=1.0, fidelity="literal"))
-    assert not record.ok
+    # the steep ramp of README's "Output formats" example stops at step 70
+    record = cd.simulate(case1, cd.ActuationProfile.linear(3000.0),
+                         cd.SolverOptions(t_end=1.0, output_stride=1))
+    assert record.nc_step == 70
     path = tmp_path / "nc.csv"
     write_record_csv(record, str(path))
     last = path.read_text().splitlines()[-1]
     assert last.endswith(",0")
-    assert read_record_csv(str(path)).nc_step is not None
+    back = read_record_csv(str(path))
+    # the index of the last row, not the solver's step count
+    assert back.nc_step == back.t.size - 1 == 69
 
 
 def test_svg_single_straight_shape(tmp_path):

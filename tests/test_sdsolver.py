@@ -123,6 +123,13 @@ def test_matches_galerkin_on_short_run(case1):
     assert metrics["shape_rmse"] < 0.5
 
 
+def test_workspace_takes_drag_only(case1):
+    # drag is the one law, spelt exactly; an undamped run is damping_coeff = 0
+    for name in ("none", "Drag"):
+        with pytest.raises(cd.ConfigurationError, match="damping_coeff = 0"):
+            SDWorkspace(case1, 51, name)
+
+
 def test_workspace_trapezoid_grid(case1):
     ws = SDWorkspace(case1, 101)
     assert ws.grid.integrate(np.ones(101)) == pytest.approx(L, abs=1e-12)
