@@ -175,23 +175,31 @@ def _reference_state_fields(theta, theta_t, asm):
     return coupling, coriolis, f_q, damping
 
 
-# the rig's drag coefficient, and an undamped run
-DAMPING_COEFFS = [pytest.param(cd.geometry.BASE_DAMPING, id="drag"),
-                  pytest.param(0.0, id="none")]
+# drag at the rig's coefficient, an undamped run (damping_coeff = 0), and the
+# retired pointwise law, which assembly refuses
+DAMPING = ["drag", "pointwise", "none"]
 
 
-def _with_damping(case_id, damping_coeff):
+def _damped_assembly(case_id, m, damping):
+    # the case's assembly, or None for "pointwise" once its refusal is checked
     model = cd.build_case_model(case_id)
-    return replace(model, material=replace(model.material, damping_coeff=damping_coeff))
+    basis, grid = cd.ModalBasis(m, model.length), cd.make_quadrature(16, 5, model.length)
+    if damping == "pointwise":
+        with pytest.raises(cd.ConfigurationError, match="damping_coeff = 0"):
+            cd.make_assembly(model, basis, grid, damping)
+        return None
+    c_damp = cd.geometry.BASE_DAMPING if damping == "drag" else 0.0
+    model = replace(model, material=replace(model.material, damping_coeff=c_damp))
+    return cd.make_assembly(model, basis, grid)
 
 
 @pytest.mark.parametrize("case_id", ["case1", "case2", "case3", "case4"])
 @pytest.mark.parametrize("m", [1, 6, 10])
-@pytest.mark.parametrize("damping_coeff", DAMPING_COEFFS)
-def test_fused_state_fields_match_reference(case_id, m, damping_coeff, rng):
-    model = _with_damping(case_id, damping_coeff)
-    asm = cd.make_assembly(model, cd.ModalBasis(m, model.length),
-                           cd.make_quadrature(16, 5, model.length))
+@pytest.mark.parametrize("damping_model", DAMPING)
+def test_fused_state_fields_match_reference(case_id, m, damping_model, rng):
+    asm = _damped_assembly(case_id, m, damping_model)
+    if asm is None:
+        return
     for _ in range(3):
         theta = asm.phi @ rng.normal(0.0, 1.0, m)
         theta_t = asm.phi @ rng.normal(0.0, 5.0, m)
@@ -216,14 +224,21 @@ def _reference_system(c, c_t, asm, dt, fidelity):
 
 @pytest.mark.parametrize("case_id", ["case1", "case2", "case3", "case4"])
 @pytest.mark.parametrize("m", [1, 6, 10])
-@pytest.mark.parametrize("damping_coeff", DAMPING_COEFFS)
+@pytest.mark.parametrize("damping_model", DAMPING)
 @pytest.mark.parametrize("fidelity", ["consistent", "literal"])
 @pytest.mark.parametrize("mode", [cd.FORCE, cd.DISPLACEMENT])
-def test_stepper_matches_reference(case_id, m, damping_coeff, fidelity, mode, rng):
-    model = _with_damping(case_id, damping_coeff)
-    asm = cd.make_assembly(model, cd.ModalBasis(m, model.length),
-                           cd.make_quadrature(16, 5, model.length))
+def test_stepper_matches_reference(case_id, m, damping_model, fidelity, mode, rng):
+    asm = _damped_assembly(case_id, m, damping_model)
     dt = 1e-3
+    if asm is None:
+        # nor does the drag stepper keep the pointwise law's constant damping C0:
+        # lhs0 = M + dt^2 S and the rhs rate term is dt S
+        asm = _damped_assembly(case_id, m, "drag")
+        stp = stepper(asm, dt, fidelity)
+        s_mat = asm.stiffness if fidelity == "consistent" else np.zeros_like(asm.stiffness)
+        assert np.array_equal(stp.lhs0, asm.mass + dt * dt * s_mat)
+        assert np.array_equal(stp.s_ct, dt * s_mat)
+        return
     stp = stepper(asm, dt, fidelity)
     profile = (ActuationProfile.offset_sinusoid(2.0, 0.5, TWO_PI, 0.3) if mode == cd.FORCE
                else ActuationProfile.linear(0.008, 0.001, mode=cd.DISPLACEMENT))
