@@ -25,10 +25,13 @@ G = c F^T W F, the rhs operator [rho W core | -G] and the constant part of
 the step matrix, so a step is a few fused products and one m x m solve, with
 the same system up to round-off.  Step-path products use ``ndarray.dot``:
 the same BLAS call and bits as ``@``, at less cost per call (``step_us_p50``
-on disp_track 35.2 -> 30.5 us, BENCH_5.json).  The fidelity is fixed when
-the Stepper is built, not branched on per step.  A step evaluates its input
-once, ``profile.command(t)`` at the step's end: the force value, or the
-commanded displacement with its rate and acceleration.
+on disp_track 35.2 -> 30.5 us, BENCH_5.json); the solve skips
+``np.linalg.solve``'s wrapper for its LAPACK gufunc (``records.solve``,
+force_long 27.2 -> 24.0 us, disp_track 30.4 -> 26.9 us, BENCH_7.json).
+The fidelity is fixed when the Stepper is built, not branched on per step.
+A step evaluates its input once, ``profile.command(t)`` at the step's end:
+the force value, or the commanded displacement with its rate and
+acceleration.
 
 Two assembly fidelities are provided:
 
@@ -345,7 +348,7 @@ class Stepper:
             c_tt = solve(lhs, rhs)
         c_t_new = state.c_t + dt * c_tt
         c_new = state.c + dt * c_t_new
-        return ModalState(t=t_next, c=c_new, c_t=c_t_new, c_tt_last=c_tt), gam
+        return ModalState(t_next, c_new, c_t_new, c_tt), gam   # positional: 0.2 us less
 
 
 def stepper(asm: Assembly, dt: float, fidelity: str) -> Stepper:

@@ -7,7 +7,11 @@ from the kept samples in one pass (``kinematics.sampled_record``).
 
 ``solve`` (force input) and ``constrained_solve`` (displacement input, the
 Baumgarte-stabilized cable constraint; Baumgarte, 1972) are the acceleration
-solves of both solvers' steps.
+solves of both solvers' steps.  ``solve`` calls numpy's LAPACK ``gesv``
+gufunc directly: on the modal step's 6 x 6 system ``np.linalg.solve`` spends
+~3.5 of its ~5 us in its Python wrapper (array conversion, type promotion
+and a per-call ``errstate``), ~12% of a force step.  The gufunc is the call
+that wrapper makes, so every finite result has the same bits.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve as _gesv_matrix, solve1 as _gesv_vector
 
 from .errors import SolverFault
 
@@ -25,7 +30,25 @@ CONSTRAINT_GAIN = 20.0  # 1/s; Baumgarte gain of the displacement-input constrai
 
 
 def solve(lhs, rhs):
-    """np.linalg.solve, with a singular matrix raised as a SolverFault."""
+    """np.linalg.solve of float64 operands, a singular matrix raised as a SolverFault.
+
+    ``rhs`` is a vector or an (m, k) matrix.  The gufunc runs under the
+    caller's floating-point error state, not an ``np.errstate``, which would
+    cost most of the saving: on a singular matrix LAPACK returns NaN and numpy
+    emits one RuntimeWarning ("invalid value encountered in solve1").  A
+    result that is not finite, or that warning raised as an error, re-solves
+    through ``np.linalg.solve``: it raises the LinAlgError turned into the
+    SolverFault here, or returns the same non-finite result.  (A finite
+    result with entries above ~1e154 overflows the check, with numpy's
+    overflow warning, and re-solves to the same result.)
+    """
+    try:
+        x = (_gesv_vector if rhs.ndim == 1 else _gesv_matrix)(lhs, rhs, signature="dd->d")
+        flat = x.ravel()
+        if math.isfinite(flat.dot(flat)):       # any inf or nan makes it non-finite
+            return x
+    except (RuntimeWarning, FloatingPointError):
+        pass
     try:
         return np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError as exc:
