@@ -23,14 +23,6 @@ from .errors import ConfigurationError
 FORCE = "force"
 DISPLACEMENT = "displacement"
 _MODES = (FORCE, DISPLACEMENT)
-PROFILE_KINDS = (
-    "linear",
-    "offset_sinusoid",
-    "step",
-    "ramp_then_sinusoid",
-    "decaying_sinusoid",
-    "tabulated",
-)
 _SCALARS = ("slope", "offset", "amplitude", "omega", "decay_rate", "t_shift", "hold_value")
 
 
@@ -169,6 +161,7 @@ _PIECES = {   # kind -> (piece for t < t_shift, piece for t >= t_shift)
     "decaying_sinusoid": (_decaying_sinusoid, lambda p, t: (p.hold_value, 0.0, 0.0)),
     "tabulated": (_tabulated,) * 2,
 }
+PROFILE_KINDS = tuple(_PIECES)
 
 
 def profile_from_csv(path, mode=FORCE) -> ActuationProfile:

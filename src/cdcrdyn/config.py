@@ -13,11 +13,12 @@ table that maps each INI key onto its ``SolverOptions`` field.
 from __future__ import annotations
 
 import configparser
+import inspect
 import io
 import math
 from dataclasses import dataclass, field
 
-from .actuation import ActuationProfile, PROFILE_KINDS, profile_from_csv
+from .actuation import FORCE, ActuationProfile, PROFILE_KINDS, profile_from_csv
 from .errors import ConfigurationError
 from .galerkin import SolverOptions
 from .geometry import (GeometryProfile, MaterialParams, DistributedLoad,
@@ -151,6 +152,11 @@ def model_from_config(cfg: RunConfig) -> RobotModel:
     base = build_case_model(ov.get("case", "case1"))
     length = ov.get("length", base.length)
     prof_i, prof_a, prof_w = base.profile_I, base.profile_A, base.profile_W
+    for key, varied in (("second_moment", "taper_d"), ("area", "taper_d"),
+                        ("cable_spacing", "spacing_w")):
+        for other in (varied + "0", varied + "1"):
+            if key in ov and other in ov:
+                raise ConfigurationError(f"[model] {key} and {other} contradict: set one")
     if "second_moment" in ov:
         prof_i = GeometryProfile.constant(ov["second_moment"])
     if "area" in ov:
@@ -189,42 +195,23 @@ def model_from_config(cfg: RunConfig) -> RobotModel:
 
 
 def profile_from_config(cfg: RunConfig) -> ActuationProfile | None:
-    pv = cfg.profile
-    if not pv:
+    """[profile] built by the constructor its kind names, its keys as keyword
+    arguments: ``ActuationProfile.<kind>``, or ``profile_from_csv`` on the
+    ``csv`` file for ``tabulated``.  ``mode`` is force unless set.  A missing
+    key, or one the kind does not take, is a ConfigurationError naming it."""
+    if not cfg.profile:
         return None
-    if "kind" not in pv:
-        raise ConfigurationError("[profile] needs a kind")
-    kind = pv["kind"]
-    mode = pv.get("mode", "force")
-
-    def need(*names):
-        missing = [n for n in names if n not in pv]
-        if missing:
-            raise ConfigurationError(f"[profile] kind {kind!r} needs {missing}")
-        return [pv[n] for n in names]
-
-    if kind == "linear":
-        return ActuationProfile.linear(*need("slope"), offset=pv.get("offset", 0.0),
-                                       mode=mode)
-    if kind == "offset_sinusoid":
-        offset, amplitude, omega = need("offset", "amplitude", "omega")
-        return ActuationProfile.offset_sinusoid(offset, amplitude, omega,
-                                                t_shift=pv.get("t_shift", 0.0), mode=mode)
-    if kind == "step":
-        return ActuationProfile.step(*need("height"), t0=pv.get("t0", 0.0), mode=mode)
-    if kind == "ramp_then_sinusoid":
-        slope, t_switch, offset, amplitude, omega = need(
-            "slope", "t_switch", "offset", "amplitude", "omega")
-        return ActuationProfile.ramp_then_sinusoid(slope, t_switch, offset,
-                                                   amplitude, omega, mode=mode)
-    if kind == "decaying_sinusoid":
-        offset, amplitude, decay, omega, t_cut, hold = need(
-            "offset", "amplitude", "decay_rate", "omega", "t_cut", "hold_value")
-        return ActuationProfile.decaying_sinusoid(offset, amplitude, decay, omega,
-                                                  t_cut, hold, mode=mode)
-    if kind == "tabulated":
-        return profile_from_csv(*need("csv"), mode=mode)
-    raise ConfigurationError(f"unknown profile kind {kind!r}")
+    kwargs = {"mode": FORCE, **cfg.profile}
+    kind = kwargs.pop("kind", None)
+    if kind not in PROFILE_KINDS:
+        raise ConfigurationError(f"[profile] kind must be one of {PROFILE_KINDS}")
+    build = ((lambda csv, mode: profile_from_csv(csv, mode=mode)) if kind == "tabulated"
+             else getattr(ActuationProfile, kind))
+    try:
+        inspect.signature(build).bind(**kwargs)
+    except TypeError as exc:
+        raise ConfigurationError(f"[profile] kind {kind!r}: {exc}") from None
+    return build(**kwargs)
 
 
 def scenario_from_config(cfg: RunConfig) -> Scenario:

@@ -28,27 +28,26 @@ def shapes_path(path: str) -> str:
     return stem + "_shapes.csv"
 
 
+def _write_rows(path: str, header: str, data: np.ndarray) -> None:
+    """``header``, then one ``%.9g`` row per row of ``data``, in one %-format call."""
+    row = ",".join(["%.9g"] * data.shape[1]) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n" + (row * data.shape[0]) % tuple(data.ravel().tolist()))
+
+
 def write_record_csv(record: SimulationRecord, path: str) -> None:
     """One row per output sample; shape snapshots go to a sibling _shapes.csv."""
-    lines = [RECORD_HEADER]
-    n = record.t.size
-    for i in range(n):
-        flag = 0.0 if (record.nc_step is not None and i == n - 1) else 1.0
-        lines.append(",".join(_fmt(v) for v in (
-            record.t[i], record.tip_x[i], record.tip_y[i], record.theta_L[i],
-            record.delta_l[i], record.gamma[i], record.t_rot[i], record.t_x[i],
-            record.t_y[i], record.u_bend[i], flag)))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    flag = np.ones(record.t.size)
+    if record.nc_step is not None:
+        flag[-1:] = 0.0
+    _write_rows(path, RECORD_HEADER, np.column_stack((
+        record.t, record.tip_x, record.tip_y, record.theta_L, record.delta_l,
+        record.gamma, record.t_rot, record.t_x, record.t_y, record.u_bend, flag)))
     if record.shape_theta.size:
-        rows = [SHAPES_HEADER]
-        for k, t in enumerate(record.shape_t):
-            for j, s in enumerate(record.shape_s):
-                rows.append(",".join(_fmt(v) for v in (
-                    t, s, record.shape_x[k, j], record.shape_y[k, j],
-                    record.shape_theta[k, j])))
-        with open(shapes_path(path), "w", newline="") as fh:
-            fh.write("\n".join(rows) + "\n")
+        k, p = record.shape_theta.shape
+        _write_rows(shapes_path(path), SHAPES_HEADER, np.column_stack((
+            np.repeat(record.shape_t, p), np.tile(record.shape_s, k),
+            record.shape_x.ravel(), record.shape_y.ravel(), record.shape_theta.ravel())))
 
 
 def _numeric_rows(lines, header: str, path: str) -> np.ndarray:

@@ -1,4 +1,5 @@
 import configparser
+import inspect
 import pathlib
 import re
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cdcrdyn as cd
-from cdcrdyn.config import (_OPTION_KEYS, RunConfig, model_from_config,
+from cdcrdyn.actuation import PROFILE_KINDS
+from cdcrdyn.config import (_OPTION_KEYS, _PROFILE_KEYS, RunConfig, model_from_config,
                             parse_config, profile_from_config,
                             scenario_from_config, serialize_config)
 from cdcrdyn.errors import ConfigurationError
@@ -107,6 +109,76 @@ def test_tabulated_profile_via_csv(tmp_path):
     prof = profile_from_config(cfg)
     assert prof.kind == "tabulated" and prof.mode == "displacement"
     assert prof.value(1.5) == pytest.approx(0.015)
+
+
+# each kind's [profile] keys, the direct constructor call they must equal, and a
+# key the kind does not take
+_KIND_CASES = {
+    "linear": ({"slope": 0.5, "offset": 0.25},
+               lambda mode, csv: cd.ActuationProfile.linear(0.5, offset=0.25, mode=mode),
+               "t0"),
+    "offset_sinusoid": ({"offset": 1.0, "amplitude": 0.5, "omega": 3.0, "t_shift": 0.1},
+                        lambda mode, csv: cd.ActuationProfile.offset_sinusoid(
+                            1.0, 0.5, 3.0, t_shift=0.1, mode=mode),
+                        "height"),
+    "step": ({"height": 3.0, "t0": 0.2},
+             lambda mode, csv: cd.ActuationProfile.step(3.0, t0=0.2, mode=mode),
+             "slope"),
+    "ramp_then_sinusoid": ({"slope": 0.02, "t_switch": 0.5, "offset": 0.01,
+                            "amplitude": 0.004, "omega": 6.0},
+                           lambda mode, csv: cd.ActuationProfile.ramp_then_sinusoid(
+                               0.02, 0.5, 0.01, 0.004, 6.0, mode=mode),
+                           "t_shift"),
+    "decaying_sinusoid": ({"offset": 0.01, "amplitude": 0.005, "decay_rate": 2.0,
+                           "omega": 8.0, "t_cut": 1.5, "hold_value": 0.01},
+                          lambda mode, csv: cd.ActuationProfile.decaying_sinusoid(
+                              0.01, 0.005, 2.0, 8.0, 1.5, 0.01, mode=mode),
+                          "t_switch"),
+    "tabulated": ({"csv": None},
+                  lambda mode, csv: cd.profile_from_csv(csv, mode=mode),
+                  "hold_value"),
+}
+
+
+@pytest.mark.parametrize("mode", ["force", "displacement", None])
+@pytest.mark.parametrize("kind", PROFILE_KINDS)
+def test_profile_section_equals_its_constructor(tmp_path, kind, mode):
+    keys, direct, foreign = _KIND_CASES[kind]
+    csv_path = tmp_path / "drive.csv"
+    csv_path.write_text("0.0,0.0\n1.0,0.01\n2.0,0.02\n")
+    keys = {k: (csv_path if v is None else v) for k, v in keys.items()}
+    text = f"[profile]\nkind = {kind}\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+    if mode is not None:
+        text += f"mode = {mode}\n"
+    # an unset mode is force, also for the kinds whose constructor defaults to displacement
+    assert profile_from_config(parse_config(text)) == direct(mode or "force", csv_path)
+    # a key the kind does not take is refused, not dropped
+    with pytest.raises(ConfigurationError, match=foreign):
+        profile_from_config(parse_config(text + f"{foreign} = 1\n"))
+    # and a missing one is named in INI terms
+    first = next(iter(keys))
+    without = text.replace(f"{first} = {keys[first]}\n", "")
+    with pytest.raises(ConfigurationError, match=f"'{first}'"):
+        profile_from_config(parse_config(without))
+
+
+def test_profile_keys_are_the_constructor_parameters():
+    params = {name for kind in PROFILE_KINDS if kind != "tabulated"
+              for name in inspect.signature(getattr(cd.ActuationProfile, kind)).parameters}
+    assert set(_PROFILE_KEYS) == params | {"kind", "mode", "csv"}
+
+
+@pytest.mark.parametrize("text, keys", [
+    ("second_moment = 1e-12\ntaper_d0 = 0.006\ntaper_d1 = 0.004\n",
+     ("second_moment", "taper_d0")),
+    ("area = 1e-5\ntaper_d0 = 0.006\ntaper_d1 = 0.004\n", ("area", "taper_d0")),
+    ("cable_spacing = 0.01\nspacing_w0 = 0.01\nspacing_w1 = 0.005\n",
+     ("cable_spacing", "spacing_w0")),
+], ids=["second_moment_taper", "area_taper", "cable_spacing_cubic"])
+def test_contradictory_model_overrides_rejected(text, keys):
+    with pytest.raises(ConfigurationError) as info:
+        model_from_config(parse_config("[model]\n" + text))
+    assert all(key in str(info.value) for key in keys)
 
 
 _scenarios = st.sampled_from([s.id for s in cd.builtin_suite()])

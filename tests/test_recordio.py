@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import cdcrdyn as cd
-from cdcrdyn.recordio import (RECORD_HEADER, format_benchmark_table,
+from cdcrdyn.recordio import (RECORD_HEADER, SHAPES_HEADER, format_benchmark_table,
                               read_record_csv, record_shapes, shapes_path,
                               write_benchmark_csv, write_record_csv,
                               write_shape_svg)
@@ -69,6 +71,42 @@ def test_nc_record_flags_last_row(tmp_path, case1):
     back = read_record_csv(str(path))
     # the index of the last row, not the solver's step count
     assert back.nc_step == back.t.size - 1 == 69
+
+
+def _per_value_csv(header, rows):
+    return "\n".join([header] + [",".join(format(float(v), ".9g") for v in row)
+                                 for row in rows]) + "\n"
+
+
+def test_record_csv_bytes_match_per_value_format(tmp_path, case1):
+    # an early stop flags its last row 0; its shapes file holds every snapshot
+    record = cd.simulate(case1, cd.ActuationProfile.linear(3000.0),
+                         cd.SolverOptions(t_end=1.0, output_stride=1))
+    assert record.nc_step is not None and record.shape_t.size > 1
+    n = record.t.size
+    series = ("t", "tip_x", "tip_y", "theta_L", "delta_l", "gamma",
+              "t_rot", "t_x", "t_y", "u_bend")
+    rows = [[getattr(record, name)[i] for name in series] + [float(i < n - 1)]
+            for i in range(n)]
+    path = tmp_path / "nc.csv"
+    write_record_csv(record, str(path))
+    assert path.read_bytes() == _per_value_csv(RECORD_HEADER, rows).encode()
+    shape_rows = [(t, s, record.shape_x[k, j], record.shape_y[k, j],
+                   record.shape_theta[k, j])
+                  for k, t in enumerate(record.shape_t)
+                  for j, s in enumerate(record.shape_s)]
+    assert (tmp_path / "nc_shapes.csv").read_bytes() == \
+        _per_value_csv(SHAPES_HEADER, shape_rows).encode()
+    # no snapshots: no shapes file; values at the edges of %.9g format alike
+    edges = np.resize([-0.0, 1e-300, -1e300, 0.1 + 0.2, 123456789.5, 5e-324], n)
+    bare = replace(record, nc_step=None, tip_y=edges, shape_t=np.zeros(0),
+                   shape_s=np.zeros(0), shape_theta=np.zeros((0, 0)),
+                   shape_x=np.zeros((0, 0)), shape_y=np.zeros((0, 0)))
+    rows = [row[:2] + [edges[i]] + row[3:10] + [1.0] for i, row in enumerate(rows)]
+    path = tmp_path / "bare.csv"
+    write_record_csv(bare, str(path))
+    assert path.read_bytes() == _per_value_csv(RECORD_HEADER, rows).encode()
+    assert not (tmp_path / "bare_shapes.csv").exists()
 
 
 def test_svg_single_straight_shape(tmp_path):
