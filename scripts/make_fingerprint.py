@@ -12,11 +12,19 @@ channel's largest magnitude.  The runs:
 * three builtins on the SD solver (N = 51, sd_dt = 2e-4, 0.5 s).
 
 ``literal/case2_step`` is unstable: its shape angles grow to tens of radians
-within the 0.3 s, and it amplifies round-off by ~1e8.  A change that only
-reorders floating-point operations (reassociating a matrix product) moves
-its channels by ~1e-8 of their size, past the tolerance, while every other
-run stays within ~1e-11; such a change regenerates the file too.  Nor are
-the literal runs converged in the quadrature grid: moving the default grid
+within the 0.3 s.  Yet a change that only reorders floating-point operations
+moves it no more than the other runs.  The modal step that forms theta,
+theta_t, the stiffness term and w . c from one product with z = [c; c_t]
+and lays node-indexed arrays out node-contiguous reassociates most of a
+step's sums; ``scripts/fingerprint_shift.py`` on the stored file and one
+regenerated with that step reported:
+
+    literal: 56/207 keys bit-identical; largest shift 2.52e-12 (literal/case2_step/rates); nc_step unchanged
+    modal: 83/345 keys bit-identical; largest shift 5.46e-12 (modal/case1_linear/accels); nc_step unchanged
+    sd: 69/69 keys bit-identical; largest shift 0; nc_step unchanged
+
+All are well inside the 1e-10 tolerance, so the stored file was kept.  Nor
+are the literal runs converged in the quadrature grid: moving the default grid
 from 16 x 5 to 4 x 10 Gauss-Legendre points moved six of the nine by more
 than their own size (up to 1.9 times, ``literal/case1_step/u_bend``), while
 every modal run moved by at most 6.7e-11 of its size.  Their stored values

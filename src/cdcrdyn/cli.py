@@ -74,7 +74,15 @@ def _load_config(args) -> RunConfig:
 
 
 def _suite(cfg: RunConfig) -> list[Scenario]:
-    """The builtin suite under cfg's options, run for its [run] horizon if set."""
+    """The builtin suite under cfg's options, run for its [run] horizon if set.
+
+    The builtins bring their own models and inputs, so a config that sets
+    [model] or [profile] is refused here as ``run`` refuses a bad one.
+    """
+    for section in ("model", "profile"):
+        if getattr(cfg, section):
+            raise ConfigurationError(f"[{section}] applies to run only: suite and bench "
+                                     "run the builtin scenarios")
     return [replace(scenario, horizon=cfg.horizon or scenario.horizon)
             for scenario in builtin_suite(cfg.options)]
 

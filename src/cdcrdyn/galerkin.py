@@ -19,19 +19,24 @@ Its steps cost 22-28% less (BENCH_4.json).
 
 ``assemble_state_fields`` is the reference assembly of K, h, f_Q and the
 drag matrix (``assemble_K/h/fQ`` read it).  Steps run through a
-``Stepper`` instead, built on first use for each (dt, fidelity) and cached on
-the Assembly: it precomputes H = rho core^T W + dt G, with the drag operator
-G = c F^T W F, the rhs operator [rho W core | -G] and the constant part of
-the step matrix, so a step is a few fused products and one m x m solve, with
-the same system up to round-off.  Step-path products use ``ndarray.dot``:
-the same BLAS call and bits as ``@``, at less cost per call (``step_us_p50``
-on disp_track 35.2 -> 30.5 us, BENCH_5.json); the solve skips
-``np.linalg.solve``'s wrapper for its LAPACK gufunc (``records.solve``,
-force_long 27.2 -> 24.0 us, disp_track 30.4 -> 26.9 us, BENCH_7.json).
-The fidelity is fixed when the Stepper is built, not branched on per step.
-A step evaluates its input once, ``profile.command(t)`` at the step's end:
-the force value, or the commanded displacement with its rate and
-acceleration.
+``Stepper`` instead, built on first use for each (dt, fidelity, input mode)
+and cached on the Assembly, which fixes the fidelity and the input mode when
+it is built, not per step.  A step is a few fused products on node-contiguous
+layouts and one m x m solve, with the same system up to round-off; its
+operators and layouts are in the Stepper's docstring.  Step-path products use
+``ndarray.dot``: the same BLAS call and bits as ``@``, at less cost per call
+(``step_us_p50`` on disp_track 35.2 -> 30.5 us, BENCH_5.json); the solve
+skips ``np.linalg.solve``'s wrapper for its LAPACK gufunc (``records.solve``,
+force_long 27.2 -> 24.0 us, disp_track 30.4 -> 26.9 us, BENCH_7.json).  One
+state product, node-contiguous layouts and smaller folds took a force step
+from 34 to 30 numpy calls and a displacement step from 39 to 34 (products,
+ufuncs and operators; slices and views 10 -> 13), and bare ``step()`` from
+24.6 to 22.2 us on case2_step and from 31.4 to 27.5 us on caseD (medians of
+40 interleaved blocks of 300 calls, one process, 2-vCPU VM; perfbench pairs
+in BENCH_8.json).
+``Stepper.advance(state, command)`` takes the commanded (value, rate, accel)
+at the step's end: ``step`` evaluates ``profile.command`` once per call,
+``simulate`` once per run, on every step time at once.
 
 Two assembly fidelities are provided:
 
@@ -40,7 +45,7 @@ Two assembly fidelities are provided:
                    S = E int I Phi_s Phi_s^T ds and the boundary-consistent
                    actuation load Gamma * [W(L) Phi(L) - int W_s Phi ds].
 * ``literal``    - the integrated-equation discretization, force input only
-                   (a displacement-input step raises ConfigurationError): no
+                   (its displacement-input Stepper raises ConfigurationError): no
                    bending-stiffness matrix, actuation load Gamma W(0) int(Phi).
 
 Dissipation is one Rayleigh term, the drag R = c/2 int (x_t^2 + y_t^2) ds
@@ -119,16 +124,32 @@ class SolverOptions:
             raise ConfigurationError("sd_dt must be positive")
 
 
-@dataclass
 class ModalState:
-    t: float
-    c: np.ndarray
-    c_t: np.ndarray
-    c_tt_last: np.ndarray
+    """The modal state at time t and the acceleration of the step that reached it.
+
+    The state is one array ``z = [c; c_t]``; ``c`` and ``c_t`` are views of it.
+    ``ModalState(t, c, c_t, c_tt_last)`` copies c and c_t into a new z.
+    """
+
+    __slots__ = ("t", "z", "c", "c_t", "c_tt_last")
+
+    def __init__(self, t, c, c_t, c_tt_last):
+        m = len(c)
+        z = np.empty(2 * m)
+        z[:m] = c
+        z[m:] = c_t
+        self.t, self.z, self.c, self.c_t, self.c_tt_last = t, z, z[:m], z[m:], c_tt_last
 
     @classmethod
     def rest(cls, m: int) -> "ModalState":
         return cls(0.0, np.zeros(m), np.zeros(m), np.zeros(m))
+
+
+def _state(t, z, c, c_t, c_tt_last) -> ModalState:
+    # a ModalState on a z the step wrote, c and c_t its views, without a copy
+    state = object.__new__(ModalState)
+    state.t, state.z, state.c, state.c_t, state.c_tt_last = t, z, c, c_t, c_tt_last
+    return state
 
 
 @dataclass
@@ -152,7 +173,7 @@ class Assembly:
     b_consistent: np.ndarray  # (m,) W(L) Phi(L) - int W_s Phi
     w_cable: np.ndarray      # (m,) d(delta_l)/dc = (1/2) int W Phi_s
     core: np.ndarray         # (n, n) bwd diag(A) fwd: int_s^L A(xi) int_0^xi . dxi
-    steppers: dict = field(default_factory=dict, init=False, repr=False)  # (dt, fidelity)
+    steppers: dict = field(default_factory=dict, init=False, repr=False)  # (dt, fidelity, mode)
     damping_model: ClassVar[str] = "drag"    # the only law, read by perfbench
 
 
@@ -263,7 +284,7 @@ def assemble_fQ(c, asm: Assembly) -> np.ndarray:
 
 
 class Stepper:
-    """The step of one (Assembly, dt, fidelity), its fixed pieces built once.
+    """The step of one (Assembly, dt, fidelity, input mode), its fixed pieces built once.
 
     With X = [Phi sin(theta) | Phi cos(theta)], W = diag(grid weights) and
     F = ``grid.fwd``, the step matrix M + rho K + dt D (+ dt^2 S) is ``lhs0``
@@ -271,89 +292,110 @@ class Stepper:
         G    = c F^T W F                    (drag, c the model's damping_coeff),
         H    = rho core^T W + dt G,
         lhs0 = M + dt^2 S                   (S if consistent, else zero).
-    The drag force D c_t = X^T G [theta_t sin | theta_t cos] (blocks summed)
-    rides in the rhs field with the Coriolis term, as one product of the
-    (n, 2n) operator [rho W core | -G].  The fidelity fixes S and the
-    actuation vector.  ``system`` gives the (lhs, rhs) that
-    ``assemble_state_fields`` and the step algebra give, up to round-off;
-    ``advance`` adds the input from one ``profile.command`` call.
+    One product of the state operator
+        [[Phi, 0], [0, -Phi], [0, Phi], [S, dt S], [w^T, 0], [0, w^T]]
+    with z = [c; c_t] gives theta, -theta_t, theta_t, the stiffness part of
+    the rhs, w . c and w . c_t (w the cable direction).  Node-indexed arrays
+    keep the n nodes on their contiguous axis: [sin; cos] is (2, n), X^T is
+    (m, 2, n), and the Coriolis, drag and load block is (2, 2n + 2),
+        [theta_t^2 (-cos; sin) | theta_t (sin; cos) | I],
+    so its one product with the (2n + 2, n) field operator
+    [rho W core | -G | -q_x W ; q_y W]^T adds the distributed load through
+    the two identity columns.  The fidelity fixes S and the actuation vector,
+    the input mode how ``advance(state, command)`` turns the commanded
+    (value, rate, accel) at the step's end into the acceleration and gamma.
+    ``system`` gives the (lhs, rhs) that ``assemble_state_fields`` and the step
+    algebra give, up to round-off.
     """
 
-    def __init__(self, asm: Assembly, dt: float, fidelity: str):
+    def __init__(self, asm: Assembly, dt: float, fidelity: str, mode: str):
+        consistent = fidelity == "consistent"
+        if mode == DISPLACEMENT and not consistent:
+            raise ConfigurationError(f"{fidelity} fidelity takes force input only")
         wq = asm.grid.weights
         rho = asm.model.material.density
-        self.dt, self.fidelity = dt, fidelity
-        self.consistent = fidelity == "consistent"
-        self.phi, self.w_cable = asm.phi, asm.w_cable
-        self.load = asm.b_consistent if self.consistent else asm.b_literal
-        stiffness = asm.stiffness if self.consistent else np.zeros_like(asm.stiffness)
+        phi, w = asm.phi, asm.w_cable
+        self.n, self.m = n, m = phi.shape
+        self.dt, self.w_cable = dt, w
+        self.load = asm.b_consistent if consistent else asm.b_literal
+        stiffness = asm.stiffness if consistent else np.zeros_like(asm.stiffness)
         self.lhs0 = asm.mass + dt * dt * stiffness
-        # the rhs terms linear in the state, S c + dt S c_t
-        self.s_c = stiffness
-        self.s_ct = dt * stiffness
+        self.dt_m = np.full(m, dt)
+        zero, zero_w = np.zeros((n, m)), np.zeros(m)
+        self.state_op = np.block([[phi, zero], [zero, -phi], [zero, phi],
+                                  [stiffness, dt * stiffness], [w, zero_w], [zero_w, w]])
+        self.phi_t = np.ascontiguousarray(phi.T)[:, None, :]
         fwd = asm.grid.fwd
         c_drag = asm.model.material.damping_coeff
         g = fwd.T @ ((c_drag * wq)[:, None] * fwd)     # G = c F^T W F
         rho_core = (rho * wq)[:, None] * asm.core
-        self.h = rho_core.T + dt * g
-        # the rhs field on [sin | cos] is this (n, 2n) operator on
-        # [theta_t^2 (-cos | sin) ; theta_t (sin | cos)], plus [-q_x | q_y] W
-        self.field_op = np.hstack([rho_core, -g])
-        self.q_w = np.column_stack([-wq * asm.qx_nodes, wq * asm.qy_nodes])
-        self._phi2 = np.repeat(asm.phi, 2, axis=0)    # each row twice, as sc.ravel()
+        self.h_t = np.ascontiguousarray((rho_core.T + dt * g).T)
+        self.field_op = np.vstack([rho_core.T, -g.T, -wq * asm.qx_nodes, wq * asm.qy_nodes])
+        self.y_eye = np.zeros((2, 2 * n + 2))
+        self.y_eye[:, 2 * n:] = np.eye(2)
+        self._accel = _force_accel if mode == FORCE else _displacement_accel
 
-    def system(self, c, c_t):
-        """(lhs, rhs) of the acceleration solve, before the actuation load."""
+    def system(self, z):
+        """(lhs, rhs) of the acceleration solve, before the actuation load, and
+        (w . c, w . c_t), for the state z = [c; c_t]."""
         # Step-path products use ndarray.dot, not @: on these 1-D and 2-D
         # operands it makes the same BLAS call with the same bits, at
         # 0.4-0.6 us less fixed cost per call, up to half of a product's time.
-        n, m = self.phi.shape
-        theta = self.phi.dot(c)
-        theta_t = self.phi.dot(c_t)
-        sc = np.empty((n, 2))                          # [sin | cos] of theta
-        np.sin(theta, out=sc[:, 0])
-        np.cos(theta, out=sc[:, 1])
-        x2 = self._phi2 * sc.reshape(-1, 1)            # X, its rows as (n, 2, m)
-        hx = self.h.dot(x2.reshape(n, 2 * m))
-        # as (2n, m), the rows pair each X block with its H X block
-        lhs = x2.T.dot(hx.reshape(2 * n, m))
+        n, m = self.n, self.m
+        u = self.state_op.dot(z)
+        sc = np.empty((2, n))                          # [sin; cos] of theta
+        theta = u[:n]
+        np.sin(theta, out=sc[0])
+        np.cos(theta, out=sc[1])
+        xt = self.phi_t * sc                           # X^T as (m, 2, n)
+        x_m = xt.reshape(m, 2 * n)
+        hx = xt.reshape(2 * m, n).dot(self.h_t)        # (H X)^T, its rows as xt's
+        lhs = x_m.dot(hx.reshape(m, 2 * n).T)
         lhs += self.lhs0
-        y = np.empty((2 * n, 2))
-        np.multiply(sc, theta_t[:, None], out=y[n:])   # theta_t [sin | cos]
-        np.multiply(y[n:, ::-1], theta_t[:, None], out=y[:n])
-        y[:n, 0] *= -1.0                               # theta_t^2 [-cos | sin]
-        fld = self.field_op.dot(y)
-        fld += self.q_w
-        rhs = x2.T.dot(fld.reshape(-1))
-        rhs -= self.s_c.dot(c)
-        rhs -= self.s_ct.dot(c_t)
-        return lhs, rhs
+        y = self.y_eye.copy()
+        drag = y[:, n:2 * n]
+        np.multiply(sc, u[2 * n:3 * n], out=drag)      # theta_t [sin; cos]
+        np.multiply(drag[::-1], u[n:3 * n].reshape(2, n), out=y[:, :n])
+        rhs = x_m.dot(y.dot(self.field_op).reshape(2 * n))
+        rhs -= u[3 * n:3 * n + m]
+        return lhs, rhs, u[3 * n + m:]
 
-    def advance(self, state: ModalState, profile: ActuationProfile):
-        """The next state and the applied boundary coefficient gamma."""
-        lhs, rhs = self.system(state.c, state.c_t)
-        dt = self.dt
-        t_next = state.t + dt
-        command = profile.command(t_next)
-        if profile.mode == DISPLACEMENT:
-            if not self.consistent:
-                raise ConfigurationError(f"{self.fidelity} fidelity takes force input only")
-            w = self.w_cable
-            c_tt, lam = constrained_solve(lhs, rhs, w, w, command, w.dot(state.c),
-                                          w.dot(state.c_t))
-            gam = 0.5 * lam
-        else:
-            gam = -0.5 * command[0]
-            rhs += gam * self.load
-            c_tt = solve(lhs, rhs)
-        c_t_new = state.c_t + dt * c_tt
-        c_new = state.c + dt * c_t_new
-        return ModalState(t_next, c_new, c_t_new, c_tt), gam   # positional: 0.2 us less
+    def advance(self, state: ModalState, command):
+        """The next state from ``state`` under the commanded (value, rate, accel)
+        at the step's end, and the applied boundary coefficient gamma."""
+        lhs, rhs, w_z = self.system(state.z)
+        c_tt, gam = self._accel(self, lhs, rhs, w_z, command)
+        # semi-implicit Euler into one new z: c_t + dt c_tt, then c + dt c_t_new
+        m = self.m
+        z = np.empty(2 * m)
+        c, c_t = z[:m], z[m:]
+        np.multiply(c_tt, self.dt_m, out=c_t)
+        c_t += state.c_t
+        np.multiply(c_t, self.dt_m, out=c)
+        c += state.c
+        return _state(state.t + self.dt, z, c, c_t, c_tt), gam
 
 
-def stepper(asm: Assembly, dt: float, fidelity: str) -> Stepper:
-    """The Assembly's cached Stepper for (dt, fidelity), built on first use."""
-    key = (float(dt), fidelity)
+# The acceleration and gamma of one step, per input mode.  A Stepper holds the
+# plain function, not a bound method, so it is in no reference cycle and is
+# freed with its Assembly.
+def _force_accel(stp: Stepper, lhs, rhs, w_z, command):
+    gam = -0.5 * command[0]
+    rhs += gam * stp.load
+    return solve(lhs, rhs), gam
+
+
+def _displacement_accel(stp: Stepper, lhs, rhs, w_z, command):
+    w = stp.w_cable
+    w_x, w_v = w_z.tolist()
+    c_tt, lam = constrained_solve(lhs, rhs, w, w, command, w_x, w_v)
+    return c_tt, 0.5 * lam
+
+
+def stepper(asm: Assembly, dt: float, fidelity: str, mode: str) -> Stepper:
+    """The Assembly's cached Stepper for (dt, fidelity, mode), built on first use;
+    raises ConfigurationError on displacement input under the literal fidelity."""
+    key = (float(dt), fidelity, mode)
     hit = asm.steppers.get(key)
     if hit is None:
         hit = asm.steppers[key] = Stepper(asm, *key)
@@ -362,13 +404,16 @@ def stepper(asm: Assembly, dt: float, fidelity: str) -> Stepper:
 
 def step(state: ModalState, asm: Assembly, profile: ActuationProfile,
          options: SolverOptions) -> ModalState:
-    """One semi-implicit Euler step; raises SolverFault on a non-finite result
-    and ConfigurationError on displacement input under the literal fidelity."""
-    new_state, _ = stepper(asm, options.dt, options.fidelity).advance(state, profile)
-    c, c_t = new_state.c, new_state.c_t
-    # any inf or nan entry makes c . c_t non-finite; only an overflow of finite
+    """One semi-implicit Euler step under ``profile.command`` at its end; raises
+    SolverFault on a non-finite result and ConfigurationError on displacement
+    input under the literal fidelity."""
+    dt = options.dt
+    new_state, _ = stepper(asm, dt, options.fidelity, profile.mode).advance(
+        state, profile.command(state.t + dt))
+    z = new_state.z
+    # any inf or nan entry makes z . z non-finite; only an overflow of finite
     # entries needs the entry-wise check
-    if not math.isfinite(c.dot(c_t)) and not (np.isfinite(c).all() and np.isfinite(c_t).all()):
+    if not math.isfinite(z.dot(z)) and not np.isfinite(z).all():
         raise SolverFault("non-finite modal state")
     return new_state
 
@@ -377,27 +422,33 @@ def simulate(model: RobotModel, profile: ActuationProfile, options: SolverOption
              scenario_id: str = "", assembly: Assembly | None = None) -> SimulationRecord:
     """Run the modal solver from rest and record the requested time series.
 
+    The input is evaluated once, on every step time, before the loop; the
+    times are accumulated as the loop's own t + dt, so each keeps its bits.
     ``compute_seconds`` covers the steps only; the record is built after the
     loop, in one pass over the kept samples.
     """
     asm = assembly if assembly is not None else make_assembly(
         model, ModalBasis(options.m, model.length, options.basis_kind),
         make_quadrature(options.panels, options.points_per_panel, model.length))
+    advance_one = stepper(asm, options.dt, options.fidelity, profile.mode).advance
+    n_steps = int(round(options.t_end / options.dt))
+    times = np.full(n_steps + 1, float(options.dt))
+    times[0] = 0.0
+    commands = zip(*(part.tolist() for part in profile.command(np.add.accumulate(times))))
+    value_0 = next(commands)[0]
     state = ModalState.rest(asm.basis.order)
     # sample 0: the rest state, its own diagnostic state, the t = 0 coefficient
-    first = (state.c, state, -0.5 * profile.value(0.0) if profile.mode == FORCE else 0.0)
-
-    advance_one = stepper(asm, options.dt, options.fidelity).advance
+    first = (state.c, state, -0.5 * value_0 if profile.mode == FORCE else 0.0)
 
     def advance(k):
+        # run_loop calls k = 1, 2, ... in order, so the next command is step k's
         nonlocal state
         prev = state
-        state, gam = advance_one(prev, profile)
+        state, gam = advance_one(prev, next(commands))
         return prev.c, state, gam
 
     kept, compute_seconds, nc_step, nc_reason = run_loop(
-        int(round(options.t_end / options.dt)), options.output_stride, advance,
-        lambda: abs(asm.phi_L.dot(state.c)))
+        n_steps, options.output_stride, advance, lambda: abs(asm.phi_L.dot(state.c)))
     c_pre, sampled, gam = zip(first, *kept)
     c_pre = np.array(c_pre)
     c = np.array([st.c for st in sampled])

@@ -111,6 +111,24 @@ def test_suite_and_bench_honour_run_horizon(tmp_path, capsys, monkeypatch):
     assert all(sc.horizon == sc.options.t_end == 0.05 for sc in benched)
 
 
+@pytest.mark.parametrize("command", ["suite", "bench"])
+@pytest.mark.parametrize("text", [
+    "[profile]\nkind = step\nheight = 3\n",
+    "[model]\ncase = case2\n",
+    "[model]\nsecond_moment = 1e-12\ntaper_d0 = 0.006\ntaper_d1 = 0.004\n",
+], ids=["profile", "model", "contradictory_model"])
+def test_suite_and_bench_refuse_model_and_profile(tmp_path, capsys, monkeypatch, command, text):
+    # the builtins bring their own model and input; run applies these sections
+    ran = []
+    monkeypatch.setattr(cli_mod, "run_scenario", lambda *args: ran.append(args))
+    monkeypatch.setattr(cli_mod, "run_benchmark", lambda *args, **kwargs: ran.append(args))
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nhorizon = 0.05\n" + text)
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 2 and ran == []
+    assert "applies to run only" in capsys.readouterr().err
+
+
 def test_unknown_scenario_exit_code(tmp_path):
     assert main(["run", "--scenario", "caseZ", "--out", str(tmp_path)]) == 2
 

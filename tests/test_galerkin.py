@@ -234,26 +234,35 @@ def test_stepper_matches_reference(case_id, m, damping_model, fidelity, mode, rn
         # nor does the drag stepper keep the pointwise law's constant damping C0:
         # lhs0 = M + dt^2 S and the rhs rate term is dt S
         asm = _damped_assembly(case_id, m, "drag")
-        stp = stepper(asm, dt, fidelity)
+        stp = stepper(asm, dt, fidelity, cd.FORCE)
         s_mat = asm.stiffness if fidelity == "consistent" else np.zeros_like(asm.stiffness)
+        n = asm.phi.shape[0]
         assert np.array_equal(stp.lhs0, asm.mass + dt * dt * s_mat)
-        assert np.array_equal(stp.s_ct, dt * s_mat)
+        assert np.array_equal(stp.state_op[3 * n:3 * n + m], np.hstack([s_mat, dt * s_mat]))
         return
-    stp = stepper(asm, dt, fidelity)
     profile = (ActuationProfile.offset_sinusoid(2.0, 0.5, TWO_PI, 0.3) if mode == cd.FORCE
                else ActuationProfile.linear(0.008, 0.001, mode=cd.DISPLACEMENT))
+    if mode == cd.DISPLACEMENT and fidelity == "literal":
+        # refused when the Stepper is built; its system is the force Stepper's
+        with pytest.raises(cd.ConfigurationError, match="force input only"):
+            stepper(asm, dt, fidelity, mode)
+        stp = stepper(asm, dt, fidelity, cd.FORCE)
+    else:
+        stp = stepper(asm, dt, fidelity, mode)
+    w = asm.w_cable
     for _ in range(3):
         state = ModalState(0.25, rng.normal(0.0, 1.0, m), rng.normal(0.0, 5.0, m), np.zeros(m))
         lhs_ref, rhs_ref = _reference_system(state.c, state.c_t, asm, dt, fidelity)
-        for got, ref in zip(stp.system(state.c, state.c_t), (lhs_ref, rhs_ref)):
+        lhs, rhs, w_z = stp.system(state.z)
+        for got, ref in zip((lhs, rhs), (lhs_ref, rhs_ref)):
             assert got.shape == ref.shape
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        for got, v in zip(w_z, (state.c, state.c_t)):
+            assert abs(got - w @ v) <= 1e-13 * (np.abs(w) @ np.abs(v))
         if mode == cd.DISPLACEMENT and fidelity == "literal":
-            with pytest.raises(cd.ConfigurationError, match="force input only"):
-                stp.advance(state, profile)
             continue
-        new, gam = stp.advance(state, profile)
         t = state.t + dt
+        new, gam = stp.advance(state, profile.command(t))
         if mode == cd.FORCE:
             assert gam == -0.5 * profile.value(t)
             load = asm.b_consistent if fidelity == "consistent" else asm.b_literal
@@ -268,6 +277,12 @@ def test_stepper_matches_reference(case_id, m, damping_model, fidelity, mode, rn
         assert np.abs(new.c_tt_last - c_tt).max() <= 1e-9 * np.abs(c_tt).max()
         assert np.array_equal(new.c_t, state.c_t + dt * new.c_tt_last)
         assert np.array_equal(new.c, state.c + dt * new.c_t)
+
+
+def _advance(asm, options, state, profile):
+    """Stepper.advance from state under profile's command at the step's end."""
+    return stepper(asm, options.dt, options.fidelity, profile.mode).advance(
+        state, profile.command(state.t + options.dt))
 
 
 class _CountingProfile:
@@ -292,19 +307,26 @@ class _CountingProfile:
     ActuationProfile.ramp_then_sinusoid(0.04, 0.005, 0.0002, 0.018, TWO_PI, mode=cd.DISPLACEMENT),
 ], ids=["force", "displacement"])
 def test_advance_evaluates_profile_once_per_step(profile, case1, basis6, grid):
+    # step() calls command once per step, simulate once per run (on every
+    # step time at once); the record's own value() calls are apart
     asm = cd.make_assembly(case1, basis6, grid)
+    options = cd.SolverOptions(t_end=0.01, output_stride=1)
     counting = _CountingProfile(profile)
     state = ref = ModalState.rest(6)
     for k in range(1, 11):
-        state, gam = stepper(asm, 1e-3, "consistent").advance(state, counting)
-        ref, ref_gam = stepper(asm, 1e-3, "consistent").advance(ref, profile)
+        state = cd.step(state, asm, counting, options)
+        ref = cd.step(ref, asm, profile, options)
         assert counting.calls == ["command"] * k
-        assert np.array_equal(state.c, ref.c) and gam == ref_gam
+        assert np.array_equal(state.z, ref.z)
+    counting.calls.clear()
+    record = cd.simulate(case1, counting, options, assembly=asm)
+    assert counting.calls.count("command") == 1
+    assert np.array_equal(record.states[-1], state.c) and np.array_equal(record.rates[-1], state.c_t)
 
 
 def test_stepper_cache_per_dt_and_fidelity(case1, basis6, grid):
-    # the steppers are built on first use, one per (dt, fidelity), and one
-    # Assembly stepped at two dt values matches two fresh Assemblies
+    # the steppers are built on first use, one per (dt, fidelity, mode), and
+    # one Assembly stepped at two dt values matches two fresh Assemblies
     shared = cd.make_assembly(case1, basis6, grid)
     assert shared.steppers == {}
     profile = ActuationProfile.step(3.0)
@@ -316,10 +338,15 @@ def test_stepper_cache_per_dt_and_fidelity(case1, basis6, grid):
             b = cd.step(b, fresh, profile, options)
             assert np.array_equal(a.c, b.c) and np.array_equal(a.c_t, b.c_t)
             runs[dt] = (options, fresh, a, b)
-    assert sorted(shared.steppers) == [(2.5e-4, "consistent"), (1e-3, "consistent")]
-    assert stepper(shared, 1e-3, "consistent") is shared.steppers[(1e-3, "consistent")]
-    stepper(shared, 1e-3, "literal")
-    assert len(shared.steppers) == 3
+    assert sorted(shared.steppers) == [(2.5e-4, "consistent", cd.FORCE),
+                                       (1e-3, "consistent", cd.FORCE)]
+    assert (stepper(shared, 1e-3, "consistent", cd.FORCE)
+            is shared.steppers[(1e-3, "consistent", cd.FORCE)])
+    stepper(shared, 1e-3, "literal", cd.FORCE)
+    stepper(shared, 1e-3, "consistent", cd.DISPLACEMENT)
+    with pytest.raises(cd.ConfigurationError, match="force input only"):
+        stepper(shared, 1e-3, "literal", cd.DISPLACEMENT)
+    assert len(shared.steppers) == 4
 
 
 def test_coriolis_zero_at_rest(asm_raw2):
@@ -364,7 +391,7 @@ def test_gamma_force_mode(asm_case1, case1):
     profile = ActuationProfile.step(3.0)
     options = cd.SolverOptions()
     state = ModalState(0.5, np.zeros(6), np.zeros(6), np.zeros(6))
-    _, gam = stepper(asm_case1, options.dt, options.fidelity).advance(state, profile)
+    _, gam = _advance(asm_case1, options, state, profile)
     assert gam == -1.5
 
 
@@ -400,8 +427,8 @@ def test_lambda_fallback_boundary_form(case1, raw2, grid):
 def test_actuation_load_literal(asm_raw1, case1_noload):
     profile = ActuationProfile.step(3.0)
     options = cd.SolverOptions(m=1, basis_kind="raw_monomial", fidelity="literal")
-    _, gam = stepper(asm_raw1, options.dt, options.fidelity).advance(
-        ModalState(0.5, np.zeros(1), np.zeros(1), np.zeros(1)), profile)
+    _, gam = _advance(asm_raw1, options,
+                      ModalState(0.5, np.zeros(1), np.zeros(1), np.zeros(1)), profile)
     f_l = gam * asm_raw1.b_literal
     # Gamma * W(0) * int phi = -1.5 * 0.11 * L/2
     assert f_l[0] == pytest.approx(-1.5 * 0.11 * L / 2, rel=1e-12)
@@ -411,8 +438,8 @@ def test_actuation_load_literal(asm_raw1, case1_noload):
 def test_actuation_load_consistent_constant_spacing(asm_raw1):
     profile = ActuationProfile.step(3.0)
     options = cd.SolverOptions(m=1, basis_kind="raw_monomial", fidelity="consistent")
-    _, gam = stepper(asm_raw1, options.dt, options.fidelity).advance(
-        ModalState(0.5, np.zeros(1), np.zeros(1), np.zeros(1)), profile)
+    _, gam = _advance(asm_raw1, options,
+                      ModalState(0.5, np.zeros(1), np.zeros(1), np.zeros(1)), profile)
     f_l = gam * asm_raw1.b_consistent
     # constant W: f = Gamma * W * phi(L)
     assert f_l[0] == pytest.approx(-1.5 * W * 1.0, rel=1e-12)
@@ -467,8 +494,7 @@ def test_one_step_from_rest_hand_computed(case1_noload, raw1, grid):
     asm = cd.make_assembly(case1_noload, raw1, grid)
     options = cd.SolverOptions(m=1, basis_kind="raw_monomial", dt=1e-3)
     profile = ActuationProfile.step(3.0)
-    state, gam = stepper(asm, options.dt, options.fidelity).advance(
-        ModalState.rest(1), profile)
+    state, gam = _advance(asm, options, ModalState.rest(1), profile)
     rho = case1_noload.material.density
     k_h = A * L**3 / 20
     mass_h = rho * I * L / 3
@@ -588,6 +614,72 @@ def test_diagnostics_at_samples_match_step_loop(case1):
             float(asm.grid.integrate(asm.model.eval_W_s(asm.grid.nodes) * theta)),
             profile.value(record.t[k]), asm)
     assert np.any(record.lambda_post[1:] != 0.0)
+
+
+def test_modal_state_api(case1, basis6, grid):
+    # one array z = [c; c_t] with c and c_t its views, built positionally or
+    # reached by stepping; a positional state steps to the same bits
+    asm = cd.make_assembly(case1, basis6, grid)
+    options = cd.SolverOptions()
+    rest = ModalState.rest(6)
+    assert rest.t == 0.0 and rest.z.shape == (12,)
+    assert all(np.array_equal(a, np.zeros(n)) for a, n in
+               ((rest.z, 12), (rest.c, 6), (rest.c_t, 6), (rest.c_tt_last, 6)))
+    listed = ModalState(0.5, [1, 2], [3, 4], np.zeros(2))
+    assert listed.z.dtype == float and listed.z.tolist() == [1.0, 2.0, 3.0, 4.0]
+    for profile in (ActuationProfile.step(3.0),
+                    ActuationProfile.linear(0.008, mode=cd.DISPLACEMENT)):
+        reached = rest
+        for _ in range(5):
+            reached = cd.step(reached, asm, profile, options)
+        built = ModalState(reached.t, reached.c.copy(), reached.c_t.copy(),
+                           reached.c_tt_last.copy())
+        assert not np.shares_memory(built.z, reached.z)
+        for state in (rest, reached, built):
+            assert state.c.base is state.z and state.c_t.base is state.z
+            assert np.array_equal(state.z, np.r_[state.c, state.c_t])
+        assert built.t == reached.t and np.array_equal(built.z, reached.z)
+        after_built = cd.step(built, asm, profile, options)
+        after_reached = cd.step(reached, asm, profile, options)
+        assert after_built.t == after_reached.t
+        assert np.array_equal(after_built.z, after_reached.z)
+        assert np.array_equal(after_built.c_tt_last, after_reached.c_tt_last)
+
+
+@pytest.mark.parametrize("scenario_id", ["case1_sinusoid", "case2_step", "caseB", "caseC",
+                                         "caseD", "tabulated"])
+def test_simulate_matches_step_loop_bit_for_bit(scenario_id):
+    # simulate evaluates every command at once on its accumulated step times;
+    # a step() loop evaluates each at the float time it reaches
+    sc = cd.scenario_by_id("case1_step" if scenario_id == "tabulated" else scenario_id)
+    profile = (ActuationProfile.tabulated([0.0, 0.05, 0.12, 0.2], [0.0, 2.0, 1.0, 3.0])
+               if scenario_id == "tabulated" else sc.profile)
+    options = replace(sc.options, t_end=0.2, output_stride=1)
+    asm = cd.make_assembly(sc.model, cd.ModalBasis(options.m, sc.model.length),
+                           cd.make_quadrature(options.panels, options.points_per_panel,
+                                              sc.model.length))
+    record = cd.simulate(sc.model, profile, options, assembly=asm)
+    assert record.ok and record.t.size == 201
+    state = ModalState.rest(options.m)
+    for k in range(1, record.t.size):
+        state, gam = _advance(asm, options, state, profile)
+        assert state.t == record.t[k] and gam == record.gamma[k]
+        assert np.array_equal(state.c, record.states[k])
+        assert np.array_equal(state.c_t, record.rates[k])
+        assert np.array_equal(state.c_tt_last, record.accels[k])
+
+
+@pytest.mark.parametrize("dt", [1e-3, 2.5e-4, 2e-4, 1e-4, 3e-3])
+def test_step_times_accumulate_as_the_loop(dt):
+    # simulate's step times, np.add.accumulate over [0, dt, dt, ...], are the
+    # times a step loop reaches by t + dt, bit for bit
+    steps = np.full(20001, dt)
+    steps[0] = 0.0
+    t, loop = 0.0, [0.0]
+    for _ in range(20000):
+        t = t + dt
+        loop.append(t)
+    assert np.add.accumulate(steps).tolist() == loop
 
 
 def test_lambda_diagnostics_recorded(case1):

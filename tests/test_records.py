@@ -116,6 +116,29 @@ def test_step_path_does_not_call_np_linalg_solve(monkeypatch):
         assert state.t == pytest.approx(0.3)
 
 
+def test_step_path_does_not_stack_arrays(monkeypatch):
+    """A modal step writes into the arrays it allocates; none is stacked per step."""
+    options = cd.SolverOptions()
+    loops = []
+    for sid in ("case2_step", "caseD"):       # force and displacement input
+        scenario = cd.scenario_by_id(sid, options)
+        asm = cd.make_assembly(scenario.model, cd.ModalBasis(6, scenario.model.length),
+                               cd.make_quadrature(4, 10, scenario.model.length))
+        galerkin.stepper(asm, options.dt, options.fidelity, scenario.profile.mode)
+        loops.append((asm, scenario.profile))
+
+    def stacked(*args, **kwargs):
+        raise AssertionError("arrays stacked on the step path")
+
+    for name in ("concatenate", "stack", "hstack", "vstack", "column_stack", "block"):
+        monkeypatch.setattr(np, name, stacked)
+    for asm, profile in loops:
+        state = cd.ModalState.rest(6)
+        for _ in range(200):
+            state = cd.step(state, asm, profile, options)
+        assert state.t == pytest.approx(0.2) and np.isfinite(state.z).all()
+
+
 @pytest.mark.parametrize("solver", ["galerkin", "sd"])
 @pytest.mark.parametrize("sid", ["case1_step", "caseA"])
 def test_singular_step_matrix_ends_the_run(monkeypatch, solver, sid):
@@ -124,8 +147,8 @@ def test_singular_step_matrix_ends_the_run(monkeypatch, solver, sid):
     system = getattr(owner, name)
 
     def singular_system(self, *args, **kwargs):
-        lhs, rhs = system(self, *args, **kwargs)
-        return 0.0 * lhs, rhs
+        lhs, *rest = system(self, *args, **kwargs)
+        return (0.0 * lhs, *rest)
 
     monkeypatch.setattr(owner, name, singular_system)
     scenario = replace(cd.scenario_by_id(sid, cd.SolverOptions(sd_nodes=51)), horizon=0.01)
