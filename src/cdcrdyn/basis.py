@@ -35,7 +35,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError
+from .geometry import check_arc_length
 
 BASIS_KINDS = ("raw_monomial", "orthonormal")
 
@@ -109,29 +110,20 @@ class ModalBasis:
         if kind == "raw_monomial":
             rows = [[Fraction(int(k == j)) for k in range(order)] for j in range(order)]
             scales = np.ones(order)
-            self.coeffs = np.eye(order)
         else:
             rows, norms = _orthogonal_rows(order)
             scales = np.array([1.0 / math.sqrt(float(d) * length) for d in norms])
-            self.coeffs = np.array([[float(c) for c in u] for u in rows]) * scales[:, None]
         # q_j = phi_j / x lives over x^0..x^{m-1}: same coefficient rows
         self._legq = _legendre_rows(rows, scales).T     # (deg+1, m) for legval
         self._legq_d = (np.polynomial.legendre.legder(self._legq, axis=0)
                         if order > 1 else np.zeros((1, order)))
-
-    def _check(self, s):
-        s = np.asarray(s, dtype=float)
-        tol = 1e-12 * max(1.0, self.length)
-        if np.any(s < -tol) or np.any(s > self.length + tol):
-            raise DomainError(f"arc length outside [0, {self.length}]")
-        return s
 
     def _legval(self, u, coef):
         return np.moveaxis(np.polynomial.legendre.legval(u, coef, tensor=True), 0, -1)
 
     def eval(self, s):
         """Basis values; shape (..., m)."""
-        s = self._check(s)
+        s = check_arc_length(s, self.length)
         x = s / self.length
         return x[..., None] * self._legval(2.0 * x - 1.0, self._legq)
 
@@ -141,7 +133,7 @@ class ModalBasis:
 
     def eval_and_deriv(self, s):
         """Basis values and their derivatives from one evaluation of q and dq/dx."""
-        s = self._check(s)
+        s = check_arc_length(s, self.length)
         x = s / self.length
         u = 2.0 * x - 1.0
         q = self._legval(u, self._legq)
@@ -160,9 +152,6 @@ def stacked_product(op, f):
 
 @dataclass(frozen=True, eq=False)
 class QuadratureGrid:
-    length: float
-    panels: int
-    points_per_panel: int
     nodes: np.ndarray       # (n,), strictly inside (0, L)
     weights: np.ndarray     # (n,), positive, summing to L
     fwd: np.ndarray         # (n, n): (fwd @ f)_k = integral of f over [0, s_k]
@@ -217,6 +206,4 @@ def make_quadrature(panels: int, points_per_panel: int, length: float) -> Quadra
     own = np.arange(panels)
     fwd.reshape(panels, points_per_panel, panels, points_per_panel)[own, :, own, :] = half * part
     bwd = weights[None, :] - fwd
-    return QuadratureGrid(length=length, panels=panels,
-                          points_per_panel=points_per_panel,
-                          nodes=nodes, weights=weights, fwd=fwd, bwd=bwd)
+    return QuadratureGrid(nodes=nodes, weights=weights, fwd=fwd, bwd=bwd)

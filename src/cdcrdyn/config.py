@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from .actuation import FORCE, ActuationProfile, PROFILE_KINDS, profile_from_csv
 from .errors import ConfigurationError
 from .galerkin import SolverOptions
-from .geometry import (GeometryProfile, MaterialParams, DistributedLoad,
+from .geometry import (GRAVITY, GeometryProfile, MaterialParams, DistributedLoad,
                        RobotModel, build_case_model, derived_density, CASE_IDS)
 from .scenarios import Scenario, scenario_by_id
 
@@ -178,11 +178,12 @@ def model_from_config(cfg: RunConfig) -> RobotModel:
         prof_w = GeometryProfile.cubic_spacing(w0, w1)
     load = DistributedLoad(q_x=ov.get("q_x", base.load.q_x),
                            q_y=ov.get("q_y", base.load.q_y))
-    area_ref = prof_a.value if prof_a.kind == "constant" else base.eval_A(0.0)
     density = ov.get("density")
     if density is None:
         if load.q_y != base.load.q_y and abs(load.q_y) > 0:
-            density = derived_density(abs(load.q_y), area_ref)
+            # the [model] area, else the area behind the case's own density
+            area = ov.get("area", base.load.q_y / (base.material.density * GRAVITY))
+            density = derived_density(abs(load.q_y), area)
         else:
             density = base.material.density
     material = MaterialParams(

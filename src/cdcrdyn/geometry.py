@@ -4,8 +4,11 @@ The robot backbone is an inextensible planar rod parameterized by arc length
 s in [0, L], with spatially varying second moment of area I(s), cross-section
 area A(s) and cable spacing W(s), a uniform distributed load (q_x, q_y) and
 viscous damping.  Each profile is a constant, a linear diameter taper (I and
-A) or a cubic spacing reduction (W).  Everything here is immutable after
-construction so models can be shared freely between concurrent scenario runs.
+A) or a cubic spacing reduction (W).  ``_FORMULAS`` is the one statement of
+which kind serves which role and how it is evaluated; a constant serves every
+role.  ``check_arc_length`` is the one statement of which arc lengths are
+valid.  Everything here is immutable after construction so models can be
+shared freely between concurrent scenario runs.
 """
 
 from __future__ import annotations
@@ -63,9 +66,8 @@ class MaterialParams:
 class GeometryProfile:
     """One spatial profile: constant, diameter taper or cubic spacing.
 
-    A diameter taper stores the end diameters, both positive and finite, and
-    is evaluated differently for I(s) and A(s); the cubic kind is only
-    meaningful for the cable spacing.
+    A diameter taper stores the end diameters, both positive and finite.
+    Which role each kind serves, and its formula there, is ``_FORMULAS``.
     """
 
     kind: str
@@ -103,9 +105,24 @@ class DistributedLoad:
             raise ConfigurationError("distributed load must be finite")
 
 
-_I_KINDS = ("constant", "taper")
-_A_KINDS = ("constant", "taper")
-_W_KINDS = ("constant", "cubic")
+# (role, kind) -> value at arc lengths s on a rod of length L.  A constant
+# profile is its own value for every role, with slope W_s = 0.
+_FORMULAS = {
+    ("I", "taper"): lambda p, s, L: (np.pi / 64.0) * (p.d0 + (p.d1 - p.d0) * s / L) ** 4,
+    ("A", "taper"): lambda p, s, L: (np.pi / 4.0) * (p.d0 + (p.d1 - p.d0) * s / L) ** 2,
+    ("W", "cubic"): lambda p, s, L: p.w0 - p.w1 * (s / L) ** 3,
+    ("W_s", "cubic"): lambda p, s, L: -3.0 * p.w1 * s**2 / L**3,
+}
+
+
+def check_arc_length(s, length: float) -> np.ndarray:
+    """s as a float array; DomainError if any entry lies outside [0, length]
+    by more than 1e-12 max(1, length)."""
+    s = np.asarray(s, dtype=float)
+    tol = 1e-12 * max(1.0, length)
+    if np.any(s < -tol) or np.any(s > length + tol):
+        raise DomainError(f"arc length outside [0, {length}]")
+    return s
 
 
 @dataclass(frozen=True)
@@ -120,12 +137,9 @@ class RobotModel:
     def __post_init__(self):
         if not 0 < self.length < math.inf:
             raise ConfigurationError("length must be positive and finite")
-        for prof, kinds, name in (
-            (self.profile_I, _I_KINDS, "I"),
-            (self.profile_A, _A_KINDS, "A"),
-            (self.profile_W, _W_KINDS, "W"),
-        ):
-            if prof.kind not in kinds:
+        for name, prof in (("I", self.profile_I), ("A", self.profile_A),
+                           ("W", self.profile_W)):
+            if prof.kind != "constant" and (name, prof.kind) not in _FORMULAS:
                 raise ConfigurationError(
                     f"profile kind {prof.kind!r} not valid for {name}(s)"
                 )
@@ -139,59 +153,33 @@ class RobotModel:
 
     # -- profile evaluation ------------------------------------------------
 
-    def _check_domain(self, s):
-        s = np.asarray(s, dtype=float)
-        tol = 1e-12 * max(1.0, self.length)
-        if np.any(s < -tol) or np.any(s > self.length + tol):
-            raise DomainError(f"arc length outside [0, {self.length}]")
-        return s
-
-    def _taper_diameter(self, prof: GeometryProfile, s):
-        return prof.d0 + (prof.d1 - prof.d0) * s / self.length
+    def _eval(self, role: str, prof: GeometryProfile, s):
+        s = check_arc_length(s, self.length)
+        if prof.kind == "constant":
+            out = np.full_like(s, 0.0 if role == "W_s" else prof.value)
+        else:
+            out = _FORMULAS[role, prof.kind](prof, s, self.length)
+        return out if out.ndim else float(out)
 
     def eval_I(self, s):
         """Second moment of area I(s) in m^4."""
-        s = self._check_domain(s)
-        prof = self.profile_I
-        if prof.kind == "constant":
-            out = np.full_like(s, prof.value)
-        else:
-            out = (np.pi / 64.0) * self._taper_diameter(prof, s) ** 4
-        return out if out.ndim else float(out)
+        return self._eval("I", self.profile_I, s)
 
     def eval_A(self, s):
         """Cross-sectional area A(s) in m^2."""
-        s = self._check_domain(s)
-        prof = self.profile_A
-        if prof.kind == "constant":
-            out = np.full_like(s, prof.value)
-        else:
-            out = (np.pi / 4.0) * self._taper_diameter(prof, s) ** 2
-        return out if out.ndim else float(out)
+        return self._eval("A", self.profile_A, s)
 
     def eval_W(self, s):
         """Cable spacing W(s) in m."""
-        s = self._check_domain(s)
-        prof = self.profile_W
-        if prof.kind == "constant":
-            out = np.full_like(s, prof.value)
-        else:
-            out = prof.w0 - prof.w1 * (s / self.length) ** 3
-        return out if out.ndim else float(out)
+        return self._eval("W", self.profile_W, s)
 
     def eval_W_s(self, s):
         """Spacing gradient dW/ds."""
-        s = self._check_domain(s)
-        prof = self.profile_W
-        if prof.kind == "constant":
-            out = np.zeros_like(s)
-        else:
-            out = -3.0 * prof.w1 * s**2 / self.length**3
-        return out if out.ndim else float(out)
+        return self._eval("W_s", self.profile_W, s)
 
     def cumulative_load(self, s):
         """Remaining distributed load (Q_x, Q_y) = integral of q over [s, L]."""
-        s = self._check_domain(s)
+        s = check_arc_length(s, self.length)
         rem = self.length - s
         qx = self.load.q_x * rem
         qy = self.load.q_y * rem

@@ -58,7 +58,6 @@ class TrapezoidGrid:
         w[:-1] += 0.5 * h
         w[1:] += 0.5 * h
         self.weights = w
-        self.length = float(self.nodes[-1])
 
     def integrate(self, f):
         """Integral of f over [0, L], along the last axis of f."""

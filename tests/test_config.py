@@ -1,5 +1,6 @@
 import configparser
 import inspect
+import math
 import pathlib
 import re
 
@@ -12,6 +13,7 @@ from cdcrdyn.config import (_OPTION_KEYS, _PROFILE_KEYS, RunConfig, model_from_c
                             parse_config, profile_from_config,
                             scenario_from_config, serialize_config)
 from cdcrdyn.errors import ConfigurationError
+from cdcrdyn.geometry import CASE_IDS
 
 
 def test_minimal_config_gets_defaults():
@@ -61,6 +63,32 @@ def test_model_overrides():
     assert model.material.damping_coeff == 2.0
     # density stays derived from the baseline when q_y is overridden to zero
     assert model.material.density > 0
+
+
+@pytest.mark.parametrize("case_id", CASE_IDS)
+def test_q_y_override_density_rule(case_id):
+    base = cd.build_case_model(case_id)
+
+    def density(extra):
+        return model_from_config(parse_config(f"[model]\ncase = {case_id}\n{extra}")).material.density
+
+    # a taper does not move the reference area: doubling q_y doubles the density
+    assert math.isclose(density(f"q_y = {2 * base.load.q_y!r}\n"), 2 * base.material.density,
+                        rel_tol=1e-12)
+    # a constant area override sets it
+    area = 2e-5
+    got = density(f"q_y = 2.9588\narea = {area!r}\nsecond_moment = 1e-11\n")
+    assert math.isclose(got, 2.9588 / (area * cd.GRAVITY), rel_tol=1e-12)
+
+
+def test_q_y_override_density_case2_matches_case1_taper():
+    def model(text):
+        return model_from_config(parse_config("[model]\n" + text + "q_y = 2.9588\n"))
+
+    case2 = model("case = case2\n")
+    tapered = model("case = case1\ntaper_d0 = 0.006\ntaper_d1 = 0.005\n")
+    assert case2 == tapered
+    assert math.isclose(case2.material.density, 23937.349, rel_tol=1e-7)
 
 
 def test_scenario_from_config_builtin():

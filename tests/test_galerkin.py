@@ -712,3 +712,32 @@ def test_default_grid_has_converged(scenario_id, m):
     distance = np.max(np.hypot(default.tip_x - reference.tip_x, default.tip_y - reference.tip_y))
     size = np.max(np.hypot(reference.tip_x, reference.tip_y))
     assert distance <= max(GRID_MARGIN * GRID_DISTANCE[scenario_id, m], GRID_ROUNDOFF * size)
+
+
+# The semi-implicit Euler step is first order in dt.  Against a dt/16
+# reference, an exact first-order error e(dt) = C dt reads
+# e(dt) / e(dt/2) = (1 - 1/16) / (1/2 - 1/16) = 15/7, p = log2(15/7) = 1.099.
+# Measured: 1.099 (case1_linear), 1.091 (case2_sinusoid), 1.100 (caseC).
+# A higher-order integrator moves this band on purpose.
+ORDER_BAND = (1.0, 1.2)
+ORDER_DT = 1e-3
+
+
+@pytest.mark.parametrize("scenario_id", ["case1_linear", "case2_sinusoid", "caseC"])
+def test_observed_time_order(scenario_id):
+    sc = cd.scenario_by_id(scenario_id)
+
+    def tip(div):
+        # one sample every 0.01 s at each dt, so the records share their times
+        options = replace(sc.options, m=6, dt=ORDER_DT / div, output_stride=10 * div)
+        rec = cd.run_scenario(replace(sc, horizon=1.0, options=options))
+        assert rec.ok
+        return rec.t, rec.tip_x, rec.tip_y
+
+    (t, x, y), (t2, x2, y2), (t_ref, x_ref, y_ref) = tip(1), tip(2), tip(16)
+    assert np.allclose(t, t_ref) and np.allclose(t2, t_ref)
+    late = t_ref >= 0.2 - 1e-12        # after 0.2 s the time step dominates the error
+    e_dt = np.max(np.hypot(x - x_ref, y - y_ref)[late])
+    e_half = np.max(np.hypot(x2 - x_ref, y2 - y_ref)[late])
+    order = math.log2(e_dt / e_half)
+    assert ORDER_BAND[0] <= order <= ORDER_BAND[1], order

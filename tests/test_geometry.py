@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -107,12 +108,40 @@ def test_profiles_positive_everywhere(case_id, rng):
     assert np.all(model.eval_W(s) > 0)
 
 
-def test_profile_kind_role_validation(case1):
-    cubic = cd.GeometryProfile.cubic_spacing(0.04, 0.03)
-    with pytest.raises(ConfigurationError):
-        cd.RobotModel(length=case1.length, profile_I=cubic,
-                      profile_A=case1.profile_A, profile_W=case1.profile_W,
-                      material=case1.material, load=case1.load)
+_TAPER = cd.GeometryProfile.diameter_taper(0.006, 0.005)
+_CUBIC = cd.GeometryProfile.cubic_spacing(0.04, 0.03)
+_UNKNOWN = cd.GeometryProfile(kind="bogus", value=1e-5)
+
+
+@pytest.mark.parametrize("role, prof", [
+    ("W", _TAPER), ("I", _CUBIC), ("A", _CUBIC),
+    ("I", _UNKNOWN), ("A", _UNKNOWN), ("W", _UNKNOWN),
+], ids=lambda v: v if isinstance(v, str) else v.kind)
+def test_profile_kind_role_validation(case1, role, prof):
+    fields = dict(length=case1.length, profile_I=case1.profile_I, profile_A=case1.profile_A,
+                  profile_W=case1.profile_W, material=case1.material, load=case1.load)
+    message = f"profile kind {prof.kind!r} not valid for {role}(s)"
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        cd.RobotModel(**{**fields, f"profile_{role}": prof})
+
+
+@pytest.mark.parametrize("length", [0.4, 2.5])
+def test_arc_length_check_is_shared(length):
+    # every profile through its formula, and a basis, on one rod
+    c2, c3 = cd.build_case_model("case2"), cd.build_case_model("case3")
+    model = cd.RobotModel(length=length, profile_I=c2.profile_I, profile_A=c2.profile_A,
+                          profile_W=c3.profile_W, material=c2.material, load=c2.load)
+    basis = cd.ModalBasis(4, length)
+    message = f"^{re.escape(f'arc length outside [0, {length}]')}$"
+    tol = 1e-12 * max(1.0, length)
+    for fn in (model.eval_I, model.eval_A, model.eval_W, model.eval_W_s,
+               model.cumulative_load, basis.eval, basis.deriv, basis.eval_and_deriv):
+        for bad in (-1e-9, length + 1e-9):
+            for s in (bad, np.array([0.0, bad])):
+                with pytest.raises(DomainError, match=message):
+                    fn(s)
+        for edge in (-1e-13, length + 1e-13, -0.9 * tol, length + 0.9 * tol):
+            fn(edge)
 
 
 def test_material_validation():
