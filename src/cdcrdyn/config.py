@@ -160,6 +160,9 @@ def model_from_config(cfg: RunConfig) -> RobotModel:
     if "second_moment" in ov:
         prof_i = GeometryProfile.constant(ov["second_moment"])
     if "area" in ov:
+        if not 0 < ov["area"] < math.inf:
+            # refused before a q_y override's density divides by it
+            raise ConfigurationError("A(s) must stay finite and positive on [0, L]")
         prof_a = GeometryProfile.constant(ov["area"])
     if "cable_spacing" in ov:
         prof_w = GeometryProfile.constant(ov["cable_spacing"])

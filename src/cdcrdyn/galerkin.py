@@ -33,7 +33,10 @@ from 34 to 30 numpy calls and a displacement step from 39 to 34 (products,
 ufuncs and operators; slices and views 10 -> 13), and bare ``step()`` from
 24.6 to 22.2 us on case2_step and from 31.4 to 27.5 us on caseD (medians of
 40 interleaved blocks of 300 calls, one process, 2-vCPU VM; perfbench pairs
-in BENCH_8.json).
+in BENCH_8.json).  Every product and ufunc of a step writes into a workspace
+built with its Stepper, so a step allocates only its new z, the solve's
+result and the new ModalState: ``step_us_p50`` 24.7 -> 20.1 us on disp_track
+and 22.4 -> 18.6 us on force_long (BENCH_9.json).
 ``Stepper.advance(state, command)`` takes the commanded (value, rate, accel)
 at the step's end: ``step`` evaluates ``profile.command`` once per call,
 ``simulate`` once per run, on every step time at once.
@@ -306,6 +309,12 @@ class Stepper:
     (value, rate, accel) at the step's end into the acceleration and gamma.
     ``system`` gives the (lhs, rhs) that ``assemble_state_fields`` and the step
     algebra give, up to round-off.
+
+    Every buffer a step writes, and every view it reads, is built once with
+    the Stepper (its workspace), so a step allocates only its new z, the
+    solve's result and the new ModalState.  ``system`` returns views of the
+    workspace, which the next call overwrites.  The Steppers cached on one
+    Assembly share no lock: they must not be stepped from two threads at once.
     """
 
     def __init__(self, asm: Assembly, dt: float, fidelity: str, mode: str):
@@ -315,8 +324,8 @@ class Stepper:
         wq = asm.grid.weights
         rho = asm.model.material.density
         phi, w = asm.phi, asm.w_cable
-        self.n, self.m = n, m = phi.shape
-        self.dt, self.w_cable = dt, w
+        n, m = phi.shape
+        self.m, self.dt, self.w_cable = m, dt, w
         self.load = asm.b_consistent if consistent else asm.b_literal
         stiffness = asm.stiffness if consistent else np.zeros_like(asm.stiffness)
         self.lhs0 = asm.mass + dt * dt * stiffness
@@ -331,34 +340,50 @@ class Stepper:
         rho_core = (rho * wq)[:, None] * asm.core
         self.h_t = np.ascontiguousarray((rho_core.T + dt * g).T)
         self.field_op = np.vstack([rho_core.T, -g.T, -wq * asm.qx_nodes, wq * asm.qy_nodes])
-        self.y_eye = np.zeros((2, 2 * n + 2))
-        self.y_eye[:, 2 * n:] = np.eye(2)
         self._accel = _force_accel if mode == FORCE else _displacement_accel
+        # the workspace: each buffer a step writes and each view it reads
+        self.u = u = np.empty(3 * n + m + 2)           # state_op . z
+        self.theta, self.theta_t = u[:n], u[2 * n:3 * n]
+        self.rates = u[n:3 * n].reshape(2, n)          # (-theta_t; theta_t)
+        self.s_rows, self.w_z = u[3 * n:3 * n + m], u[3 * n + m:]
+        self.sc = np.empty((2, n))                     # [sin; cos] of theta
+        self.sin, self.cos = self.sc
+        self.xt = np.empty((m, 2, n))                  # X^T
+        self.x_m, self.x_2m = self.xt.reshape(m, 2 * n), self.xt.reshape(2 * m, n)
+        self.hx = np.empty((2 * m, n))                 # (H X)^T, its rows as xt's
+        self.hx_t = self.hx.reshape(m, 2 * n).T
+        self.lhs = np.empty((m, m))
+        self.y = np.zeros((2, 2 * n + 2))              # Coriolis | drag | I
+        self.y[:, 2 * n:] = np.eye(2)
+        self.coriolis, self.drag = self.y[:, :n], self.y[:, n:2 * n]
+        self.drag_swapped = self.drag[::-1]
+        self.yf = np.empty((2, n))                     # y . field_op
+        self.yf_flat = self.yf.reshape(2 * n)
+        rhs_w = np.empty((2, m))                       # [rhs; w]
+        rhs_w[1] = w
+        self.rhs, self.rhs_load = rhs_w[0], rhs_w.T    # [rhs | w], the KKT operand
+        self.load_term = np.empty(m)                   # gamma * load, force input
 
     def system(self, z):
         """(lhs, rhs) of the acceleration solve, before the actuation load, and
-        (w . c, w . c_t), for the state z = [c; c_t]."""
+        (w . c, w . c_t), for the state z = [c; c_t]: views of the workspace,
+        which the next call overwrites."""
         # Step-path products use ndarray.dot, not @: on these 1-D and 2-D
         # operands it makes the same BLAS call with the same bits, at
         # 0.4-0.6 us less fixed cost per call, up to half of a product's time.
-        n, m = self.n, self.m
-        u = self.state_op.dot(z)
-        sc = np.empty((2, n))                          # [sin; cos] of theta
-        theta = u[:n]
-        np.sin(theta, out=sc[0])
-        np.cos(theta, out=sc[1])
-        xt = self.phi_t * sc                           # X^T as (m, 2, n)
-        x_m = xt.reshape(m, 2 * n)
-        hx = xt.reshape(2 * m, n).dot(self.h_t)        # (H X)^T, its rows as xt's
-        lhs = x_m.dot(hx.reshape(m, 2 * n).T)
+        self.state_op.dot(z, out=self.u)
+        np.sin(self.theta, out=self.sin)
+        np.cos(self.theta, out=self.cos)
+        np.multiply(self.phi_t, self.sc, out=self.xt)
+        self.x_2m.dot(self.h_t, out=self.hx)
+        lhs = self.x_m.dot(self.hx_t, out=self.lhs)
         lhs += self.lhs0
-        y = self.y_eye.copy()
-        drag = y[:, n:2 * n]
-        np.multiply(sc, u[2 * n:3 * n], out=drag)      # theta_t [sin; cos]
-        np.multiply(drag[::-1], u[n:3 * n].reshape(2, n), out=y[:, :n])
-        rhs = x_m.dot(y.dot(self.field_op).reshape(2 * n))
-        rhs -= u[3 * n:3 * n + m]
-        return lhs, rhs, u[3 * n + m:]
+        np.multiply(self.sc, self.theta_t, out=self.drag)           # theta_t [sin; cos]
+        np.multiply(self.drag_swapped, self.rates, out=self.coriolis)
+        self.y.dot(self.field_op, out=self.yf)
+        rhs = self.x_m.dot(self.yf_flat, out=self.rhs)
+        rhs -= self.s_rows
+        return lhs, rhs, self.w_z
 
     def advance(self, state: ModalState, command):
         """The next state from ``state`` under the commanded (value, rate, accel)
@@ -381,14 +406,14 @@ class Stepper:
 # freed with its Assembly.
 def _force_accel(stp: Stepper, lhs, rhs, w_z, command):
     gam = -0.5 * command[0]
-    rhs += gam * stp.load
+    rhs += np.multiply(stp.load, gam, out=stp.load_term)
     return solve(lhs, rhs), gam
 
 
 def _displacement_accel(stp: Stepper, lhs, rhs, w_z, command):
-    w = stp.w_cable
+    # rhs is row 0 of the [rhs; w] block whose transpose is stp.rhs_load
     w_x, w_v = w_z.tolist()
-    c_tt, lam = constrained_solve(lhs, rhs, w, w, command, w_x, w_v)
+    c_tt, lam = constrained_solve(lhs, stp.rhs_load, stp.w_cable, command, w_x, w_v)
     return c_tt, 0.5 * lam
 
 

@@ -55,16 +55,19 @@ def solve(lhs, rhs):
         raise SolverFault(f"singular system matrix: {exc}") from exc
 
 
-def constrained_solve(lhs, rhs, load, w, command, w_x, w_v):
+def constrained_solve(lhs, rhs_load, w, command, w_x, w_v):
     """(a, lam) solving lhs a = rhs + lam load with w . a on the Baumgarte target.
 
-    ``command`` is the commanded (value, rate, accel) at the step's end;
-    ``w_x``, ``w_v`` are w . x and w . x_t at its start.
+    ``rhs_load`` is the (k, 2) operand [rhs | load], the right-hand side and
+    the load the multiplier scales as its columns; the solve reads it as it
+    is, so a caller can pass a view of a block it keeps.  ``command`` is the
+    commanded (value, rate, accel) at the step's end; ``w_x``, ``w_v`` are
+    w . x and w . x_t at its start.
     """
     value, rate, accel = command
     alpha = CONSTRAINT_GAIN
     target = accel + 2.0 * alpha * (rate - w_v) + alpha * alpha * (value - w_x)
-    sol = solve(lhs, np.array([rhs, load]).T)
+    sol = solve(lhs, rhs_load)
     w_free, w_load = w.dot(sol).tolist()
     if abs(w_load) < 1e-30:
         raise SolverFault("degenerate cable-constraint direction")

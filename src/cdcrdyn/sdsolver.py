@@ -234,7 +234,7 @@ def sd_simulate(model: RobotModel, profile: ActuationProfile, options: SolverOpt
             applied = cmd[k]
         else:
             accel[1:], applied = constrained_solve(
-                lhs[1:, 1:], rhs[1:], ws.u_lambda[1:], ws.w_sd[1:],
+                lhs[1:, 1:], np.array([rhs[1:], ws.u_lambda[1:]]).T, ws.w_sd[1:],
                 (cmd[k], cmd_rate[k], cmd_accel[k]), ws.w_sd @ theta, ws.w_sd @ theta_t)
         theta_t = theta_t + dt * accel
         theta = theta + dt * theta_t

@@ -81,6 +81,15 @@ def test_q_y_override_density_rule(case_id):
     assert math.isclose(got, 2.9588 / (area * cd.GRAVITY), rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("area", [0.0, -1e-5])
+def test_non_positive_area_refused_before_the_density(area):
+    # with a q_y override the density is q_y / (area g): checked before it is derived
+    for extra in ("", "q_y = 2.9588\n"):
+        cfg = parse_config(f"[model]\ncase = case1\n{extra}area = {area!r}\n")
+        with pytest.raises(ConfigurationError, match=r"^A\(s\) must stay finite and positive"):
+            model_from_config(cfg)
+
+
 def test_q_y_override_density_case2_matches_case1_taper():
     def model(text):
         return model_from_config(parse_config("[model]\n" + text + "q_y = 2.9588\n"))

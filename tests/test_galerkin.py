@@ -270,7 +270,8 @@ def test_stepper_matches_reference(case_id, m, damping_model, fidelity, mode, rn
         else:
             w = asm.w_cable
             c_tt, lam = constrained_solve(
-                lhs_ref, rhs_ref, w, w, (profile.value(t), profile.rate(t), profile.accel(t)),
+                lhs_ref, np.array([rhs_ref, w]).T, w,
+                (profile.value(t), profile.rate(t), profile.accel(t)),
                 w @ state.c, w @ state.c_t)
             assert gam == pytest.approx(0.5 * lam, rel=1e-9)
         assert new.t == t
@@ -667,6 +668,73 @@ def test_simulate_matches_step_loop_bit_for_bit(scenario_id):
         assert np.array_equal(state.c, record.states[k])
         assert np.array_equal(state.c_t, record.rates[k])
         assert np.array_equal(state.c_tt_last, record.accels[k])
+
+
+def _default_assembly(model, options):
+    return cd.make_assembly(model, cd.ModalBasis(options.m, model.length),
+                            cd.make_quadrature(options.panels, options.points_per_panel,
+                                               model.length))
+
+
+def _step_loop(asm, profile, options, n_steps):
+    """The z of every state a step() loop from rest reaches."""
+    state = ModalState.rest(options.m)
+    zs = []
+    for _ in range(n_steps):
+        state = cd.step(state, asm, profile, options)
+        zs.append(state.z)
+    return np.array(zs)
+
+
+def test_stepper_workspace_reuse(rng):
+    # system() returns views of one workspace that each call overwrites
+    options = cd.SolverOptions()
+    for sid in ("case2_step", "caseD"):
+        sc = cd.scenario_by_id(sid, options)
+        asm = _default_assembly(sc.model, options)
+        stp = stepper(asm, options.dt, options.fidelity, sc.profile.mode)
+        z1, z2 = rng.normal(0.0, 1.0, (2, 2 * options.m))
+        lhs1, rhs1, _ = stp.system(z1)
+        lhs2, rhs2, w_z2 = stp.system(z2)
+        assert np.shares_memory(lhs1, lhs2) and np.shares_memory(rhs1, rhs2)
+        fresh = cd.galerkin.Stepper(asm, options.dt, options.fidelity, sc.profile.mode)
+        for got, ref in zip((lhs2, rhs2, w_z2), fresh.system(z2)):
+            assert np.array_equal(got, ref)
+
+    # two step() loops interleaved on one Assembly: case2_step and
+    # case2_sinusoid share one force Stepper, caseC and caseD a displacement one
+    n_steps = 200
+    for first, second in (("case2_step", "case2_sinusoid"), ("caseC", "caseD")):
+        sc1, sc2 = cd.scenario_by_id(first, options), cd.scenario_by_id(second, options)
+        assert sc1.model == sc2.model and sc1.profile.mode == sc2.profile.mode
+        alone = [_step_loop(_default_assembly(sc.model, options), sc.profile, options, n_steps)
+                 for sc in (sc1, sc2)]
+        asm = _default_assembly(sc1.model, options)
+        states = [ModalState.rest(options.m), ModalState.rest(options.m)]
+        zs = [[], []]
+        for _ in range(n_steps):
+            for i, sc in enumerate((sc1, sc2)):
+                states[i] = cd.step(states[i], asm, sc.profile, options)
+                zs[i].append(states[i].z)
+        assert len(asm.steppers) == 1
+        for got, ref in zip(zs, alone):
+            assert np.array_equal(np.array(got), ref)
+
+    # simulate after a bare step() loop on the same Assembly
+    sc = cd.scenario_by_id("caseD", options)
+    short = replace(options, t_end=0.2)
+    asm = _default_assembly(sc.model, options)
+    _step_loop(asm, cd.scenario_by_id("caseC", options).profile, options, 150)
+    after = cd.simulate(sc.model, sc.profile, short, assembly=asm)
+    fresh = cd.simulate(sc.model, sc.profile, short,
+                        assembly=_default_assembly(sc.model, options))
+    for name, value in vars(fresh).items():
+        if name == "compute_seconds":
+            continue
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(getattr(after, name), value, equal_nan=True), name
+        else:
+            assert getattr(after, name) == value, name
 
 
 @pytest.mark.parametrize("dt", [1e-3, 2.5e-4, 2e-4, 1e-4, 3e-3])

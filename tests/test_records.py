@@ -117,7 +117,9 @@ def test_step_path_does_not_call_np_linalg_solve(monkeypatch):
 
 
 def test_step_path_does_not_stack_arrays(monkeypatch):
-    """A modal step writes into the arrays it allocates; none is stacked per step."""
+    """A modal step writes into its Stepper's workspace: no array is stacked or
+    built from a sequence per step, the displacement solve's [rhs | load]
+    operand included."""
     options = cd.SolverOptions()
     loops = []
     for sid in ("case2_step", "caseD"):       # force and displacement input
@@ -128,9 +130,9 @@ def test_step_path_does_not_stack_arrays(monkeypatch):
         loops.append((asm, scenario.profile))
 
     def stacked(*args, **kwargs):
-        raise AssertionError("arrays stacked on the step path")
+        raise AssertionError("array stacked or built from a sequence on the step path")
 
-    for name in ("concatenate", "stack", "hstack", "vstack", "column_stack", "block"):
+    for name in ("array", "concatenate", "stack", "hstack", "vstack", "column_stack", "block"):
         monkeypatch.setattr(np, name, stacked)
     for asm, profile in loops:
         state = cd.ModalState.rest(6)
@@ -162,7 +164,7 @@ def test_constrained_solve_raises_on_a_degenerate_direction():
     # w . lhs^-1 load = e2 . e1 = 0
     lhs, load, w = np.eye(3), np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
     with pytest.raises(SolverFault, match="degenerate cable-constraint direction"):
-        constrained_solve(lhs, np.ones(3), load, w, (0.1, 0.2, 0.3), 0.0, 0.0)
+        constrained_solve(lhs, np.array([np.ones(3), load]).T, w, (0.1, 0.2, 0.3), 0.0, 0.0)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -173,7 +175,7 @@ def test_constrained_solve_meets_the_system_and_the_baumgarte_target(seed):
     lhs = a_rand @ a_rand.T + m * np.eye(m)
     rhs, load, w = rng.standard_normal((3, m))
     (value, rate, accel), (w_x, w_v) = rng.standard_normal(3), rng.standard_normal(2)
-    a, lam = constrained_solve(lhs, rhs, load, w, (value, rate, accel), w_x, w_v)
+    a, lam = constrained_solve(lhs, np.array([rhs, load]).T, w, (value, rate, accel), w_x, w_v)
     alpha = CONSTRAINT_GAIN
     target = accel + 2 * alpha * (rate - w_v) + alpha ** 2 * (value - w_x)
     rhs_full = rhs + lam * load
